@@ -20,7 +20,6 @@ from repro.explore.runner import (
     pareto_front,
     point_regions,
     results_to_csv,
-    run_payload,
     run_payload_batch,
     run_point,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "pareto_front",
     "point_regions",
     "results_to_csv",
-    "run_payload",
     "run_payload_batch",
     "run_point",
     "standard_workloads",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.kernel.context import SimContext
 from repro.kernel.errors import SimulationError
@@ -28,6 +28,7 @@ from repro.cam.crossbar import CrossbarCam
 from repro.cam.memory import MemorySlave
 from repro.explore.space import ArchitectureConfig
 from repro.explore.workload import MasterTrafficSpec, TrafficMaster
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -598,6 +599,21 @@ def decode_payload(payload: dict) -> dict:
     }
 
 
+def _payload_label(payload: dict) -> Optional[str]:
+    """Readable point identity straight from a transport payload.
+
+    Mirrors ``ArchitectureConfig.name`` without reconstructing the
+    config: it labels events for payloads that may not decode cleanly
+    (a point that failed to decode, or one that crashed a worker and
+    is being quarantined by the orchestrator).
+    """
+    config = payload.get("config") or {}
+    name = config.get("label")
+    if not name and config.get("fabric") and config.get("arbiter"):
+        name = f"{config['fabric']}/{config['arbiter']}"
+    return name
+
+
 #: Payload key carrying warm-start directions (``{"dir", "digest"}``).
 #: The sweep engine annotates payloads with it *after* cache-key
 #: resolution, so warm-start is a transport detail, never part of a
@@ -710,20 +726,31 @@ def _maybe_trigger_hazard(config_name: str) -> None:
         time.sleep(float(seconds) if seconds else 3600.0)
 
 
-def run_payload(payload: dict) -> dict:
+def _simulate_payload(payload: dict, metrics, marks: dict) -> dict:
     """Simulate one plain-JSON point payload; return its result dict.
 
     Dict-in/dict-out — the form that crosses a process boundary without
     any simulation class needing pickle support.  The returned dict is
     canonical :meth:`ExplorationResult.to_dict` output, so caller-side
     ``from_dict`` reconstitution is bit-identical to an inline run.
+    ``metrics`` (a registry, or ``None``) instruments the simulation;
+    ``marks`` receives the decoded ``config`` name, the wall-clock
+    ``decoded`` and ``simulated`` instants and, for a warm point, the
+    checkpoint ``digest`` and its ``load_s``/``restore_s`` costs.
     """
     kwargs = decode_payload(payload)
-    _maybe_trigger_hazard(kwargs["config"].name)
+    marks["config"] = kwargs["config"].name
+    marks["decoded"] = time.time()
+    _maybe_trigger_hazard(marks["config"])
     warm = payload.get(WARM_START_KEY)
     if warm is not None and kwargs["boot"] is not None:
+        load_t0 = time.perf_counter()
         kwargs["warm_snapshot"] = _load_warm_snapshot(warm)
-    return run_point(**kwargs).to_dict()
+        marks["load_s"] = time.perf_counter() - load_t0
+        marks["digest"] = warm["digest"]
+    result = run_point(metrics=metrics, timings=marks, **kwargs)
+    marks["simulated"] = time.time()
+    return result.to_dict()
 
 
 def _error_marker(exc: Exception) -> dict:
@@ -740,126 +767,90 @@ def _error_marker(exc: Exception) -> dict:
     return {"__sweep_error__": failure_from_exception(exc)}
 
 
-def run_payload_batch(payloads: Sequence[dict],
-                      capture_errors: bool = False) -> List[dict]:
-    """Simulate a batch of point payloads in order; one result dict each.
-
-    The worker-side entry point of the sweep's persistent pool
-    (:class:`repro.sweep.WorkerPool`): one IPC round-trip ships a whole
-    shard of points and returns a compact list of result dicts, so
-    per-point dispatch overhead amortizes to ~zero.
-
-    With ``capture_errors`` a raising point yields an
-    ``{"__sweep_error__": {...}}`` marker in its slot instead of
-    aborting the batch — the self-healing engine turns markers into
-    retries/quarantine while the surviving points' results stay
-    bit-identical to an undisturbed run.
-    """
-    if not capture_errors:
-        return [run_payload(payload) for payload in payloads]
-    results = []
-    for payload in payloads:
-        try:
-            results.append(run_payload(payload))
-        except Exception as exc:
-            results.append(_error_marker(exc))
-    return results
-
-
-def run_payload_batch_telemetry(
+def run_payload_batch(
     payloads: Sequence[dict],
     keys: Optional[Sequence[str]] = None,
     emit=None,
     worker_id=None,
-    capture_errors: bool = False,
-):
-    """Simulate a batch like :func:`run_payload_batch`, with telemetry.
+) -> Tuple[List[dict], Optional[dict]]:
+    """Simulate a batch of point payloads in order; one result dict each.
 
-    The telemetry sibling of the pool's worker entry point.  Results
-    come from the *same* ``decode_payload → run_point → to_dict``
-    pipeline, so they are bit-identical with telemetry on or off (the
-    sweep's determinism invariant); on top of that, every point records
-    wall-clock ``setup`` / ``simulate`` / ``serialize`` spans, all
-    points in the batch publish into one private
-    :class:`repro.obs.MetricsRegistry` whose snapshot rides home in
-    the blob, and ``emit`` (when given) receives one ``point_done``
-    progress event per finished point.
+    The sweep's one compute path: the worker-side entry point of the
+    persistent pool (:class:`repro.sweep.WorkerPool`), where one IPC
+    round-trip ships a whole shard of points so per-point dispatch
+    overhead amortizes to ~zero, and the engine's inline path.  A
+    raising point yields an ``{"__sweep_error__": {...}}`` marker in
+    its slot instead of aborting the batch — the self-healing engine
+    turns markers into retries/quarantine while the surviving points'
+    results stay bit-identical to an undisturbed run.
 
-    Returns ``(result_dicts, blob)`` where ``blob`` is JSON-able:
-    ``worker_id``, ``pid``, batch ``t0``/``t1``, ``points``, ``spans``
-    (each ``{"name", "t0", "t1", "args"}`` in wall-clock seconds) and
-    ``metrics`` (the registry snapshot).  ``keys`` (parallel to
-    ``payloads``) label spans and events with content keys.  The
-    observability import is lazy so plain (telemetry-off) workers
-    never load :mod:`repro.obs`.
+    ``emit`` turns telemetry on: every point then records wall-clock
+    ``setup`` / ``restore`` (warm points only) / ``simulate`` /
+    ``serialize`` spans, all points publish into one private
+    :class:`repro.obs.MetricsRegistry`, and ``emit`` receives the
+    ``point_done``, ``point_failed`` and ``checkpoint_restored``
+    progress events.  Results are the same with telemetry on or off
+    (the sweep's determinism invariant).
+
+    Returns ``(result_dicts, blob)``.  ``blob`` is ``None`` without
+    ``emit``; with it, a JSON-able dict of ``worker_id``, ``pid``,
+    batch ``t0``/``t1``, ``points``, ``spans`` (each ``{"name", "t0",
+    "t1", "args"}`` in wall-clock seconds) and ``metrics`` (the
+    registry snapshot).  ``keys`` (parallel to ``payloads``) label
+    spans and events with content keys.
     """
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
+    registry = MetricsRegistry() if emit is not None else None
     pid = os.getpid()
     spans: List[dict] = []
     results: List[dict] = []
     batch_t0 = time.time()
-    for index, payload in enumerate(payloads):
-        key = keys[index] if keys is not None else None
-        raw_config = payload.get("config") or {}
-        config_name = raw_config.get("label") or (
-            f"{raw_config['fabric']}/{raw_config['arbiter']}"
-            if raw_config.get("fabric") and raw_config.get("arbiter")
-            else None)
+    if keys is None:
+        keys = [None] * len(payloads)
+    for payload, key in zip(payloads, keys):
+        marks: dict = {}
         t0 = time.time()
-        warm_digest = None
-        timings: dict = {}
         try:
-            kwargs = decode_payload(payload)
-            config_name = kwargs["config"].name
-            warm = payload.get(WARM_START_KEY)
-            t1 = time.time()
-            _maybe_trigger_hazard(config_name)
-            if warm is not None and kwargs["boot"] is not None:
-                load_t0 = time.perf_counter()
-                kwargs["warm_snapshot"] = _load_warm_snapshot(warm)
-                timings["load_s"] = time.perf_counter() - load_t0
-                warm_digest = warm["digest"]
-            result = run_point(metrics=registry, timings=timings, **kwargs)
-            t2 = time.time()
-            data = result.to_dict()
-            t3 = time.time()
+            data = _simulate_payload(payload, registry, marks)
         except Exception as exc:
-            if not capture_errors:
-                raise
             results.append(_error_marker(exc))
             if emit is not None:
                 emit({"type": "point_failed", "worker_id": worker_id,
-                      "pid": pid, "key": key, "config": config_name,
+                      "pid": pid, "key": key,
+                      "config": (marks.get("config")
+                                 or _payload_label(payload)),
                       "error_type": type(exc).__name__})
             continue
+        t3 = time.time()
         results.append(data)
+        if emit is None:
+            continue
+        config_name = marks["config"]
         args = {"point": config_name}
         if key is not None:
             args["key"] = key
         # A warm point splits [t1, t2] into restore (checkpoint load +
         # state overlay) and simulate; the restore wall time comes from
         # the run itself so the span boundary is exact.
-        restore_s = timings.get("load_s", 0.0) + timings.get("restore_s", 0.0)
-        sim_begin = t1 + restore_s
+        t1, t2 = marks["decoded"], marks["simulated"]
+        restore_s = marks.get("load_s", 0.0) + marks.get("restore_s", 0.0)
+        warm_digest = marks.get("digest")
         named_spans = [("setup", t0, t1)]
         if warm_digest is not None:
-            named_spans.append(("restore", t1, sim_begin))
-        named_spans.extend((("simulate", sim_begin, t2),
+            named_spans.append(("restore", t1, t1 + restore_s))
+        named_spans.extend((("simulate", t1 + restore_s, t2),
                             ("serialize", t2, t3)))
         for name, begin, end in named_spans:
             spans.append({"name": name, "t0": begin, "t1": end,
                           "args": dict(args)})
-        if emit is not None:
-            if warm_digest is not None:
-                emit({"type": "checkpoint_restored",
-                      "worker_id": worker_id, "pid": pid, "key": key,
-                      "config": config_name, "digest": warm_digest,
-                      "restore_s": restore_s})
-            emit({"type": "point_done", "worker_id": worker_id,
-                  "pid": pid, "key": key,
-                  "config": config_name})
+        if warm_digest is not None:
+            emit({"type": "checkpoint_restored",
+                  "worker_id": worker_id, "pid": pid, "key": key,
+                  "config": config_name, "digest": warm_digest,
+                  "restore_s": restore_s})
+        emit({"type": "point_done", "worker_id": worker_id,
+              "pid": pid, "key": key, "config": config_name})
+    if emit is None:
+        return results, None
     return results, {
         "worker_id": worker_id,
         "pid": pid,

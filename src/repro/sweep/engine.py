@@ -46,9 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.runner import (
     ExplorationResult,
-    _error_marker,
-    run_payload,
-    run_payload_batch_telemetry,
+    run_payload_batch,
     run_point,
 )
 from repro.sweep.points import SweepPoint
@@ -171,12 +169,12 @@ def quarantined(outcomes: Sequence[SweepOutcome]) -> List[SweepOutcome]:
 
 
 def _compute_payload(payload: dict) -> dict:
-    """Inline entry point: simulate one point, return its result dict.
+    """Reference decoder: simulate one point from its typed fields.
 
-    Dict-in/dict-out, exactly mirroring what a pool worker computes via
-    :func:`repro.explore.runner.run_payload_batch` — one code path
-    shape, one canonicalizing round-trip, so inline and pooled results
-    are bit-identical.
+    Rebuilds the point through :meth:`SweepPoint.from_payload` and calls
+    :func:`run_point` directly, independently of
+    :func:`repro.explore.runner.run_payload_batch`'s payload decoding —
+    the reference the tests compare the sweep's compute path against.
     """
     point = SweepPoint.from_payload(payload)
     result = run_point(
@@ -190,6 +188,7 @@ def _compute_payload(payload: dict) -> dict:
         faults=point.faults,
         rng_streams=point.rng_streams,
         record_series=point.record_series,
+        boot=point.boot,
     )
     return result.to_dict()
 
@@ -354,9 +353,9 @@ class SweepEngine:
         With :attr:`telemetry` attached, the run additionally records
         cache/dispatch spans, absorbs worker telemetry blobs (spans +
         ``worker.*`` metrics), streams progress events, and writes one
-        run-ledger record — without changing any result: the telemetry
-        compute path is the same ``decode → run_point → to_dict``
-        round-trip, inline and pooled.
+        run-ledger record — without changing any result: inline and
+        pooled, telemetry on or off, every point is computed by the
+        same :func:`repro.explore.runner.run_payload_batch`.
         """
         telemetry = self.telemetry
         points = list(points)
@@ -581,40 +580,23 @@ class SweepEngine:
     def _run_inline(self, payloads, pending_keys, telemetry):
         """Serial compute path with the same retry/quarantine contract.
 
-        One payload at a time through the canonical
-        ``decode → run_point → to_dict`` round-trip; a raising point is
-        retried up to ``recovery.point_attempts`` times, then yields a
-        final ``{"__sweep_error__": {...}}`` marker exactly like a
-        pooled worker would.
+        One payload at a time through the pool workers' batch runner;
+        a raising point is retried up to ``recovery.point_attempts``
+        times, then yields a final ``{"__sweep_error__": {...}}``
+        marker exactly like a pooled worker would.
         """
+        emit = telemetry.on_worker_event if telemetry is not None else None
         result_dicts: List[dict] = []
-        attempts_budget = self.recovery.point_attempts
         for payload, key in zip(payloads, pending_keys):
-            result: Optional[dict] = None
-            for attempt in range(1, attempts_budget + 1):
+            for attempt in range(1, self.recovery.point_attempts + 1):
+                (result,), blob = run_payload_batch(
+                    [payload], keys=[key], emit=emit, worker_id="inline")
                 if telemetry is not None:
-                    batch, blob = run_payload_batch_telemetry(
-                        [payload], keys=[key],
-                        emit=telemetry.on_worker_event,
-                        worker_id="inline", capture_errors=True,
-                    )
                     telemetry.absorb_batch(blob, generation=0)
-                    result = batch[0]
-                    failed = (isinstance(result, dict)
-                              and "__sweep_error__" in result)
-                    if failed:
-                        result["__sweep_error__"]["attempts"] = attempt
-                    else:
-                        break
-                else:
-                    try:
-                        result = run_payload(payload)
-                        break
-                    except Exception as exc:
-                        # Same kind classification as a pooled worker
-                        # (restore failures tag ``kind="restore"``).
-                        result = _error_marker(exc)
-                        result["__sweep_error__"]["attempts"] = attempt
+                failure = result.get("__sweep_error__")
+                if failure is None:
+                    break
+                failure["attempts"] = attempt
             result_dicts.append(result)
         return result_dicts
 

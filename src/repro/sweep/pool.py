@@ -46,6 +46,10 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+# Importing the runner loads the whole simulation stack (kernel, CAMs,
+# traffic, faults), so a worker reports ready only once it is hot.
+from repro.explore.runner import _payload_label, run_payload_batch
+
 #: Seconds to wait for a worker to report ready before declaring the
 #: pool broken.  Generous: a cold ``spawn``-method worker pays a full
 #: interpreter boot plus the simulation-stack import.
@@ -71,20 +75,6 @@ def _digest(text: str) -> str:
     import hashlib
 
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def _payload_label(payload: dict) -> Optional[str]:
-    """Readable point identity straight from a transport payload.
-
-    Mirrors ``ArchitectureConfig.name`` without reconstructing the
-    config (recovery code runs in the orchestrator, where a payload
-    that crashed a worker may not even decode cleanly).
-    """
-    config = payload.get("config") or {}
-    name = config.get("label")
-    if not name and config.get("fabric") and config.get("arbiter"):
-        name = f"{config['fabric']}/{config['arbiter']}"
-    return name
 
 
 def resolve_workers(workers) -> int:
@@ -126,31 +116,22 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
 
     Task messages are ``(kind, task_id, body)``:
 
-    * ``"batch"`` — ``body`` is a payload list; simulate it via
-      :func:`repro.explore.runner.run_payload_batch`; reply
-      ``("done", task_id, started, result_dicts)``.
-    * ``"tbatch"`` — telemetry batch: ``body`` is
-      ``{"payloads", "keys"}``; per-point progress events stream back
-      as interleaved ``("event", None, ts, info)`` messages while the
-      batch runs, and the reply is
-      ``("done", task_id, started, (result_dicts, blob))`` where
-      ``blob`` carries the worker's spans and metrics snapshot
-      (:func:`repro.explore.runner.run_payload_batch_telemetry`).
-      Results come from the same simulate path as ``"batch"``, so
-      telemetry never changes simulation output.
-    * ``"rbatch"`` — recoverable batch (the self-healing dispatch of
-      :meth:`WorkerPool.run_batches`): ``body`` is ``{"payloads",
-      "keys", "telemetry"}``; per-point failures come back as
-      ``{"__sweep_error__": {...}}`` markers in the result slot
-      instead of aborting the batch, and the reply is uniformly
-      ``("done", task_id, started, (result_dicts, blob_or_None))``.
+    * ``"batch"`` — ``body`` is ``{"payloads", "keys", "telemetry"}``;
+      simulate it via :func:`repro.explore.runner.run_payload_batch`
+      and reply ``("done", task_id, started, (result_dicts, blob))``.
+      Per-point failures come back as ``{"__sweep_error__": {...}}``
+      markers in the result slot instead of aborting the batch.  With
+      ``telemetry`` set, per-point progress events stream back as
+      interleaved ``("event", None, ts, info)`` messages while the
+      batch runs and ``blob`` carries the worker's spans and metrics
+      snapshot; otherwise ``blob`` is ``None``.
     * ``"ping"`` — no-op; reply
       ``("pong", task_id, started, worker_id)`` where ``started`` is
       the worker-side :func:`time.time` at pickup (wall clock is the
       one timestamp comparable across processes).
     * ``None`` — shut down (as is EOF on the pipe).
 
-    Every batch kind is acknowledged with
+    Every batch is acknowledged with
     ``("started", task_id, started, {"worker_id", "pid", "points"})``
     *before* any simulation runs: the parent uses the ack to know
     which batch was in flight on a pid when it died (crash recovery,
@@ -165,10 +146,6 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
             other.close()
         except OSError:
             pass
-    # Pre-import the entire simulation stack (kernel, CAMs, traffic,
-    # faults) so the first real batch runs as hot as the hundredth.
-    from repro.explore.runner import run_payload_batch
-
     pid = os.getpid()
     conn.send(("ready", worker_id, pid, None))
     points_done = 0
@@ -195,64 +172,27 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
         if kind == "ping":
             conn.send(("pong", task_id, started, worker_id))
             continue
-        payloads = body if kind == "batch" else body["payloads"]
+        payloads = body["payloads"]
         conn.send(("started", task_id, started,
                    {"worker_id": worker_id, "pid": pid,
                     "points": len(payloads)}))
-        if kind == "rbatch":
-            try:
-                if body.get("telemetry"):
-                    from repro.explore.runner import (
-                        run_payload_batch_telemetry,
-                    )
-
-                    batch, blob = run_payload_batch_telemetry(
-                        payloads, keys=body.get("keys"),
-                        emit=emit, worker_id=worker_id,
-                        capture_errors=True,
-                    )
-                else:
-                    batch = run_payload_batch(payloads,
-                                              capture_errors=True)
-                    blob = None
-            except BaseException:
-                conn.send(("error", task_id, started,
-                           traceback.format_exc()))
-            else:
-                conn.send(("done", task_id, started, (batch, blob)))
-            continue
-        if kind == "tbatch":
-            # Lazy import keeps plain (telemetry-off) workers from
-            # ever loading the observability stack.
-            from repro.explore.runner import (
-                run_payload_batch_telemetry,
-            )
-
-            try:
-                batch, blob = run_payload_batch_telemetry(
-                    payloads, keys=body.get("keys"),
-                    emit=emit, worker_id=worker_id,
-                )
-            except BaseException:
-                conn.send(("error", task_id, started,
-                           traceback.format_exc()))
-            else:
-                conn.send(("done", task_id, started, (batch, blob)))
-            continue
         try:
-            batch = run_payload_batch(payloads)
+            reply = run_payload_batch(
+                payloads, keys=body["keys"],
+                emit=emit if body["telemetry"] else None,
+                worker_id=worker_id)
         except BaseException:
             conn.send(("error", task_id, started,
                        traceback.format_exc()))
         else:
-            conn.send(("done", task_id, started, batch))
+            conn.send(("done", task_id, started, reply))
 
 
 class WorkerPool:
     """A pool of persistent, pre-warmed simulation worker processes.
 
     Lazily spawned: constructing a pool is free; processes fork on the
-    first :meth:`ensure_started` / :meth:`map_batches` / :meth:`ping`
+    first :meth:`ensure_started` / :meth:`run_batches` / :meth:`ping`
     and then persist until :meth:`close` (or interpreter exit — workers
     are daemons).  ``spawn_count`` tracks every process ever started,
     so "a warm second run spawned zero new processes" is assertable:
@@ -290,7 +230,8 @@ class WorkerPool:
         #: last measured submit-to-start latency per worker id (seconds)
         self.ping_latencies: Dict[int, float] = {}
         #: telemetry hook: called with every worker event dict that
-        #: arrives interleaved with results (``"tbatch"`` dispatches)
+        #: arrives interleaved with results (telemetry-on
+        #: :meth:`run_batches` dispatches) and every pool-side event
         self.on_event: Optional[Callable[[dict], None]] = None
         #: telemetry hook: called on idle result-queue polls, so stall
         #: detection runs even while every worker is silent
@@ -480,101 +421,6 @@ class WorkerPool:
             if not sent:
                 return
 
-    def map_batches(self, batches: Sequence[Sequence[dict]],
-                    ) -> List[List[dict]]:
-        """Run every payload batch on the pool; results in input order.
-
-        Batches are fed to idle workers from the parent's backlog —
-        scheduling stays dynamic — and the replies are reassembled by
-        task id, so the output order (and therefore every downstream
-        result) is independent of which worker computed what.
-        """
-        self.ensure_started()
-        ids = []
-        for batch in batches:
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            self._dispatch(("batch", task_id, list(batch)))
-            ids.append(task_id)
-            self.batches_dispatched += 1
-            self.points_dispatched += len(batch)
-        expected = set(ids)
-        collected: Dict[int, List[dict]] = {}
-        while expected:
-            kind, task_id, _started, body = self._get_result()
-            if task_id not in expected:
-                continue  # stale reply from an aborted earlier call
-            if kind == "error":
-                raise WorkerPoolError(
-                    f"sweep worker failed on batch {task_id}:\n{body}"
-                )
-            if kind == "done":
-                collected[task_id] = body
-                expected.discard(task_id)
-        return [collected[i] for i in ids]
-
-    def map_batches_telemetry(
-        self, batches: Sequence[Sequence[dict]],
-        key_batches: Optional[Sequence[Sequence[str]]] = None,
-    ) -> Tuple[List[List[dict]], List[dict]]:
-        """Like :meth:`map_batches`, but with telemetry capture.
-
-        Dispatches ``"tbatch"`` tasks, so every worker records
-        per-point spans and a metrics snapshot and streams per-point
-        progress events back while computing (routed to
-        :attr:`on_event` by :meth:`_get_result`).  ``key_batches``
-        (parallel to ``batches``) labels spans/events with content
-        keys.  Each batch completion additionally fires a
-        parent-side ``batch_done`` event carrying submit and reply
-        timestamps — the orchestrator's batch spans.
-
-        Returns ``(result_batches, blobs)``, both in input order.
-        Result dicts are bit-identical to :meth:`map_batches` output —
-        telemetry observes the simulate path, it never changes it.
-        """
-        self.ensure_started()
-        ids: List[int] = []
-        submit_ts: Dict[int, float] = {}
-        for index, batch in enumerate(batches):
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            body = {
-                "payloads": list(batch),
-                "keys": (list(key_batches[index])
-                         if key_batches is not None else None),
-            }
-            submit_ts[task_id] = time.time()
-            self._dispatch(("tbatch", task_id, body))
-            ids.append(task_id)
-            self.batches_dispatched += 1
-            self.points_dispatched += len(batch)
-        expected = set(ids)
-        collected: Dict[int, tuple] = {}
-        while expected:
-            kind, task_id, _started, body = self._get_result()
-            if task_id not in expected:
-                continue  # stale reply from an aborted earlier call
-            if kind == "error":
-                raise WorkerPoolError(
-                    f"sweep worker failed on batch {task_id}:\n{body}"
-                )
-            if kind == "done":
-                collected[task_id] = body
-                expected.discard(task_id)
-                if self.on_event is not None:
-                    results_list, blob = body
-                    self.on_event({
-                        "type": "batch_done",
-                        "batch": task_id,
-                        "points": len(results_list),
-                        "worker_id": blob.get("worker_id"),
-                        "pid": blob.get("pid"),
-                        "submit_ts": submit_ts[task_id],
-                        "ts": time.time(),
-                    })
-        return ([collected[i][0] for i in ids],
-                [collected[i][1] for i in ids])
-
     def run_batches(
         self,
         batches: Sequence[Sequence[dict]],
@@ -583,19 +429,20 @@ class WorkerPool:
         telemetry: bool = False,
         chaos=None,
     ) -> Tuple[List[List[dict]], List[dict], dict]:
-        """Self-healing dispatch: map batches surviving worker death.
+        """Run every payload batch on the pool, surviving worker death.
 
-        The recovering sibling of :meth:`map_batches` /
-        :meth:`map_batches_telemetry` and the engine's default pooled
-        path.  Workers acknowledge batch pickup, so when a pid dies the
-        lost batch is known exactly; it is requeued (``recovery
-        .batch_attempts`` tries), then *bisected* — halves, quarters …
-        down to a single point — until the repeatedly-lethal point is
-        isolated and finalized as an ``{"__sweep_error__": {...}}``
-        marker (kind ``crash``/``timeout``) in its result slot.  Points
-        that merely *raise* come back as markers from the worker
-        (``capture_errors``), get ``recovery.point_attempts`` tries as
-        singleton resubmissions, then quarantine as kind ``error``.
+        The pool's one dispatch method.  Batches are fed to idle
+        workers from the parent's backlog and the results reassembled
+        by slot, so the output order is independent of which worker
+        computed what.  Workers acknowledge batch pickup, so when a
+        pid dies the lost batch is known exactly; it is requeued
+        (``recovery.batch_attempts`` tries), then *bisected* — halves,
+        quarters … down to a single point — until the repeatedly-lethal
+        point is isolated and finalized as an ``{"__sweep_error__":
+        {...}}`` marker (kind ``crash``/``timeout``) in its result
+        slot.  Points that merely *raise* come back as markers from
+        the worker, get ``recovery.point_attempts`` tries as singleton
+        resubmissions, then quarantine as kind ``error``.
         Dead workers are respawned in place (same worker id, same
         queues) after ``recovery.delay_s`` backoff, bounded by
         ``recovery.max_respawns`` per call; with the budget spent the
@@ -652,7 +499,7 @@ class WorkerPool:
                 "submit": time.time(),
                 "timed_out": False,
             }
-            self._dispatch(("rbatch", task_id, {
+            self._dispatch(("batch", task_id, {
                 "payloads": list(payloads),
                 "keys": (list(keys)
                          if any(k is not None for k in keys) else None),
@@ -1085,9 +932,9 @@ class WorkerPool:
     def _get_result(self, deadline: Optional[float] = None):
         """One protocol message off the result queue, watching health.
 
-        The legacy (non-recovering) wait: any dead worker is fatal,
-        but the raised error now says which batches/points died with
-        each pid and how stale its heartbeat was.
+        The non-recovering wait of warmup and :meth:`ping`: any dead
+        worker is fatal, and the raised error says which batches/points
+        died with each pid and how stale its heartbeat was.
         """
         while True:
             message = self._poll()

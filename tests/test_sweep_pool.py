@@ -9,11 +9,17 @@ share one pool, and pool lifecycle (close, respawn, metrics) behaves.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.kernel import ns, us
-from repro.explore import DesignSpace, MasterTrafficSpec, run_payload_batch
+from repro.explore import (
+    BootSpec,
+    DesignSpace,
+    MasterTrafficSpec,
+    run_payload_batch,
+)
 from repro.sweep import (
     SuccessiveHalving,
     SweepEngine,
@@ -144,25 +150,35 @@ class TestBatching:
 
     def test_worker_batch_entry_point_matches_inline(self):
         # the pool's worker-side entry must canonicalize identically
-        # to the engine's inline path (modulo wall clock, which is the
-        # one field that legitimately differs between two runs)
+        # to the reference decoder (modulo wall clock, which is the
+        # one field that legitimately differs between two runs) —
+        # including a point with a boot phase
         from repro.sweep.engine import _compute_payload
 
         def scrub(result):
             return {k: v for k, v in result.items()
                     if k != "wall_seconds"}
 
-        payloads = [p.to_payload() for p in small_points()[:2]]
-        assert ([scrub(r) for r in run_payload_batch(payloads)]
+        specs = small_specs()
+        boot = BootSpec(specs=(replace(specs[0], name="boot_cpu",
+                                       transactions=4),),
+                        until=us(1))
+        points = small_points()[:2]
+        points.append(replace(points[0], boot=boot))
+        payloads = [p.to_payload() for p in points]
+        results, blob = run_payload_batch(payloads)
+        assert blob is None
+        assert ([scrub(r) for r in results]
                 == [scrub(_compute_payload(p)) for p in payloads])
 
 
 class TestPoolDirect:
-    def test_map_batches_restores_order(self):
+    def test_run_batches_restores_order(self):
         payloads = [p.to_payload() for p in small_points()]
         with WorkerPool(workers=2) as pool:
             batches = [payloads[:1], payloads[1:3], payloads[3:]]
-            results = pool.map_batches(batches)
+            results, blobs, _ = pool.run_batches(batches)
+            assert blobs == []
             assert [len(b) for b in results] == [1, 2, 1]
             flat = [r for batch in results for r in batch]
             # order-restored: config names line up with the inputs
