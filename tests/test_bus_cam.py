@@ -192,6 +192,32 @@ class TestPipelinedTiming:
         ctx.run()
         assert done == [("r1", "100 ns"), ("r2", "180 ns")]
 
+    def test_shared_socket_overlapping_transactions(self, ctx, top):
+        """Two processes on one socket: a later-granted transaction that
+        finishes first must not wake the earlier one early."""
+        bus = self._plb_like(top, split_rw=True)
+        mem = MemorySlave("m", top, size=4096, read_wait=1, write_wait=1)
+        bus.attach_slave(mem, 0, 4096)
+        socket = bus.master_socket("shared")
+        done = []
+
+        def make(tag, requests):
+            def body():
+                for req in requests:
+                    yield from socket.transport(req)
+                    done.append((tag, str(ctx.now)))
+            return body
+
+        ctx.register_thread(make("r", [rd(0, 8), rd(0x40, 2)]), "r")
+        ctx.register_thread(make("w", [wr(0x100, 1), wr(0x104, 1),
+                                       wr(0x108, 4)]), "w")
+        ctx.run()
+        # r: cmd 0-20, read data 20-110; cmd 120-140, data 140-170.
+        # w: cmd 20-40, write data 40-60; cmd 60-80, data 80-100;
+        #    cmd 100-120, data 120-170.
+        assert done == [("w", "60 ns"), ("w", "100 ns"), ("r", "110 ns"),
+                        ("w", "170 ns"), ("r", "170 ns")]
+
 
 class TestDecodeAndErrors:
     def test_unmapped_address_error_response(self, ctx, top):

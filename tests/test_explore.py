@@ -109,6 +109,33 @@ class TestTrafficMaster:
         assert tm.errors == 0
 
 
+class TestRngDrawEquivalence:
+    """The traffic master draws with ``Random._randbelow(n)``; every
+    pinned result assumes it yields exactly what ``randrange(n)`` does."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 16381, 160_000_001,
+                                   (1 << 32) - 1, 1 << 32, (1 << 32) + 1])
+    def test_randbelow_matches_randrange(self, n):
+        import random
+
+        a = random.Random(f"rng-equivalence:{n}")
+        b = random.Random(f"rng-equivalence:{n}")
+        assert ([a._randbelow(n) for _ in range(300)]
+                == [b.randrange(n) for _ in range(300)])
+        assert a.getstate() == b.getstate()
+
+    def test_getrandbits_is_not_a_substitute(self):
+        """``(1 << 32).bit_length()`` is 33, so ``randrange(1 << 32)``
+        draws 33-bit words and rejects half: ``getrandbits(32)`` gives
+        different words."""
+        import random
+
+        a = random.Random("rng-equivalence:bits")
+        b = random.Random("rng-equivalence:bits")
+        assert ([a.getrandbits(32) for _ in range(50)]
+                != [b.randrange(1 << 32) for _ in range(50)])
+
+
 class TestDesignSpace:
     def test_cartesian_product(self):
         space = DesignSpace(
