@@ -273,7 +273,7 @@ class RtlBusCore(Module):
         return tuple(port.done for port in self.ports)
 
     def __snapshot__(self) -> dict:
-        from repro.snapshot.state import SnapshotError
+        from repro.snapshot.state import SnapshotError, peek_counter
 
         # The pin-accurate core is only checkpointable bus-idle: the
         # command unit and data engines hold live object tuples that
@@ -299,7 +299,7 @@ class RtlBusCore(Module):
         return {
             "cycles": self.cycles,
             "transactions_completed": self.transactions_completed,
-            "next_seq": next(self._seq),
+            "next_seq": peek_counter(self, "_seq"),
             "arbiter": self.arbiter.snapshot_state(),
             "engines": {
                 name: engine.total_busy

@@ -439,7 +439,7 @@ class ShipChannel(SimObject):
         )
 
     def __snapshot__(self) -> dict:
-        from repro.snapshot.state import SnapshotError
+        from repro.snapshot.state import SnapshotError, peek_counter
 
         if self._pending_replies:
             raise SnapshotError(
@@ -477,7 +477,7 @@ class ShipChannel(SimObject):
             "unanswered": {
                 end.value: list(ids) for end, ids in self._unanswered.items()
             },
-            "next_txn_id": next(self._txn_ids),
+            "next_txn_id": peek_counter(self, "_txn_ids"),
             "replies_dropped": self.replies_dropped,
         }
 

@@ -80,6 +80,18 @@ class SnapshotError(RuntimeError):
     """The context cannot be captured or restored deterministically."""
 
 
+def peek_counter(owner: Any, attr: str) -> int:
+    """The value the ``itertools.count`` at ``owner.<attr>`` yields next.
+
+    ``itertools.count`` has no read accessor, so the value is drawn and
+    the counter re-seeded at it: capturing state leaves every later
+    draw unchanged.
+    """
+    value = next(getattr(owner, attr))
+    setattr(owner, attr, itertools.count(value))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Event registry
 # ---------------------------------------------------------------------------
@@ -263,7 +275,7 @@ def capture_state(
             "now_fs": ctx._now_fs,
             "last_activity_fs": ctx._last_activity._fs,
             "delta_count": ctx._delta_count,
-            "next_seq": next(ctx._seq),
+            "next_seq": peek_counter(ctx, "_seq"),
             "last_run_outcome": ctx.last_run_outcome,
         },
         "heap": heap,

@@ -339,6 +339,15 @@ class TestQuiescence:
         with pytest.raises(SnapshotError):
             capture_state(ctx)
 
+    @pytest.mark.parametrize("build,until", [
+        (build_cam, None), (build_rtl, us(50)), (build_ship, None),
+    ], ids=["cam", "rtl", "ship"])
+    def test_back_to_back_captures_are_identical(self, build, until):
+        """Capturing reads the sequence counters without consuming them."""
+        ctx = build()[0]
+        ctx.run(until) if until is not None else ctx.run()
+        assert ctx.checkpoint() == ctx.checkpoint()
+
     def test_restore_into_mismatched_structure_fails(self):
         """A snapshot only restores into a structurally equal build."""
         snap, _ = capture_cam_quiescent()
