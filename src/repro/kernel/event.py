@@ -100,7 +100,8 @@ class Event:
 
     def notify(self) -> None:
         """Immediate notification: trigger in the current evaluation phase."""
-        self.cancel()
+        if self._pending_kind is not None:
+            self.cancel()
         self._trigger()
 
     def notify_delta(self) -> None:

@@ -33,6 +33,7 @@ The kernel supports the two SystemC process flavours:
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Set, Tuple
 
 from repro.kernel.errors import ProcessError
@@ -42,6 +43,7 @@ from repro.kernel.event import (
     EventAndList,
     EventOrList,
     KIND_CANCELLED,
+    KIND_RESUME,
 )
 from repro.kernel.simtime import SimTime
 
@@ -357,7 +359,11 @@ class ThreadProcess(Process):
 
     def _dispatch(self) -> None:
         # The steady-state resume path is fully inlined here: one
-        # generator send, one normalize, one apply_wait.
+        # generator send, then the two hottest yields applied in place.
+        # A SimTime pushes its resume entry exactly as _apply_wait's
+        # TIMED branch does; an Event whose cached wait condition exists
+        # joins its waiter list exactly as the single-event ANY branch
+        # does.  Every other yield goes through normalize/_apply_wait.
         gen = self._gen
         if gen is None:
             self.state = _RUNNING
@@ -376,6 +382,22 @@ class ThreadProcess(Process):
             self._terminate()
             self.ctx._process_failed(self, exc)
             return
+        kind = type(yielded)
+        if kind is SimTime:
+            self.state = _WAITING
+            ctx = self.ctx
+            entry = [ctx._now_fs + yielded._fs, next(ctx._seq), KIND_RESUME,
+                     self]
+            heappush(ctx._timed_heap, entry)
+            self._timeout_handle = entry
+            return
+        if kind is Event:
+            cond = yielded._wait_cond
+            if cond is not None:
+                self.state = _WAITING
+                self._wait_events = cond.events
+                yielded._dynamic_waiters.append(self)
+                return
         self._apply_wait(WaitCondition.normalize(yielded))
 
     def _advance(self, first: bool = False) -> None:
