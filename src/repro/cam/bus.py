@@ -98,12 +98,14 @@ class SlaveBinding:
         return getter(request) if getter is not None else 0
 
     def localized(self, request: OcpRequest) -> OcpRequest:
-        """The request as the slave should see it."""
+        """The request as the slave should see it.
+
+        Only decoded requests come here, so ``addr >= base`` holds and
+        the relocated copy needs no re-validation.
+        """
         if not self.localize or self.base == 0:
             return request
-        from dataclasses import replace
-
-        return replace(request, addr=request.addr - self.base)
+        return request.relocated(request.addr - self.base)
 
     @property
     def is_functional(self) -> bool:
@@ -115,19 +117,18 @@ class _BusTransaction:
     """In-flight bookkeeping for one master request."""
 
     __slots__ = (
-        "request", "master", "priority", "seq", "arrival",
-        "done", "response", "completed_at",
+        "request", "master", "priority", "seq", "arrival_fs",
+        "done", "response",
     )
 
-    def __init__(self, request, master, priority, seq, arrival, done):
+    def __init__(self, request, master, priority, seq, arrival_fs, done):
         self.request = request
         self.master = master
         self.priority = priority
         self.seq = seq
-        self.arrival = arrival
+        self.arrival_fs = arrival_fs
         self.done = done
         self.response: Optional[OcpResponse] = None
-        self.completed_at: Optional[SimTime] = None
 
 
 class _MasterSocket(SimObject, OcpTargetIf):
@@ -143,6 +144,12 @@ class _MasterSocket(SimObject, OcpTargetIf):
         self.bus = bus
         self.priority = priority
         self.split_transactions = 0
+        #: Completion event no transaction is using, or None while the
+        #: socket's own event is taken.  Reused across transactions;
+        #: two in flight at once must not share one, because an
+        #: earlier timed notification overrides a later one.
+        self._free_done: Optional[Event] = Event(
+            self, f"{self.full_name}.done")
 
     def __snapshot__(self) -> dict:
         return {"split_transactions": self.split_transactions}
@@ -156,9 +163,16 @@ class _MasterSocket(SimObject, OcpTargetIf):
         limit = self.bus.max_burst
         if limit is not None and request.burst_length > limit:
             return (yield from self._split_transport(request, limit))
-        txn = self.bus._submit(request, self.name, self.priority)
+        done = self._free_done
+        if done is None:
+            done = Event(self, f"{self.full_name}.done")
+        else:
+            self._free_done = None
+        txn = self.bus._submit(request, self.name, self.priority, done)
         while txn.response is None:
-            yield txn.done
+            yield done
+        # The notification that woke us was the event's only one.
+        self._free_done = done
         return txn.response
 
     def _split_transport(self, request: OcpRequest,
@@ -206,10 +220,13 @@ class BusStats:
         self.data_busy_cycles = 0
         self.channel_busy_cycles: Dict[str, int] = {}
 
-    def record(self, master: str, latency: SimTime, nbytes: int,
+    def record(self, master: str, latency_fs: int, nbytes: int,
                ok: bool, data_cycles: int, channel: str) -> None:
-        """Account one completed transaction."""
-        self.latency_by_master.setdefault(master, TimeStats()).add(latency)
+        """Account one completed transaction (latency in integer fs)."""
+        stats = self.latency_by_master.get(master)
+        if stats is None:
+            stats = self.latency_by_master[master] = TimeStats()
+        stats.add_fs(latency_fs)
         self.transactions += 1
         self.bytes += nbytes
         if not ok:
@@ -310,12 +327,16 @@ class BusCam(Module):
         #: only cost is one attribute test per arbitration round.
         self.fault_injector = None
         self.slaves: List[SlaveBinding] = []
+        #: last binding :meth:`decode` hit (regions never overlap)
+        self._last_decoded: Optional[SlaveBinding] = None
         self._pending: List[_BusTransaction] = []
         self._request_event = Event(self, f"{self.full_name}.request")
         self._seq = itertools.count()
         self._sockets: Dict[str, _MasterSocket] = {}
-        #: per data channel: time the channel becomes free
-        self._channel_free: Dict[str, SimTime] = {}
+        #: per data channel: time (integer fs) the channel becomes free
+        self._channel_free: Dict[str, int] = {}
+        #: ``clock_period * n`` per cycle count ``n`` waited on
+        self._cycle_waits: Dict[int, SimTime] = {}
         self.add_thread(self._bus_process, "bus_process")
 
     # -- construction-time wiring ---------------------------------------------
@@ -373,8 +394,13 @@ class BusCam(Module):
 
     def decode(self, addr: int, nbytes: int) -> Optional[SlaveBinding]:
         """Address decode; the whole burst must fit one region."""
+        last = self._last_decoded
+        if (last is not None and last.base <= addr
+                and addr + nbytes <= last.base + last.size):
+            return last
         for binding in self.slaves:
             if binding.contains(addr, nbytes):
+                self._last_decoded = binding
                 return binding
         return None
 
@@ -397,108 +423,106 @@ class BusCam(Module):
     @property
     def current_cycle(self) -> int:
         """Bus cycle number at the current time."""
-        return self.ctx.now // self.clock_period
+        return self.ctx._now_fs // self.clock_period._fs
 
     # -- master-side submission -------------------------------------------------------
 
-    def _submit(self, request: OcpRequest, master: str,
-                priority: int) -> _BusTransaction:
-        txn = _BusTransaction(
-            request=request,
-            master=master,
-            priority=priority,
-            seq=next(self._seq),
-            arrival=self.ctx.now,
-            done=Event(self, f"{self.full_name}.done_{next(self._seq)}"),
-        )
+    def _submit(self, request: OcpRequest, master: str, priority: int,
+                done: Event) -> _BusTransaction:
+        txn = _BusTransaction(request, master, priority, next(self._seq),
+                              self.ctx._now_fs, done)
         self._pending.append(txn)
         self._request_event.notify()
         return txn
 
     # -- the bus process ------------------------------------------------------------------
 
-    def _align_to_cycle(self) -> Optional[SimTime]:
-        remainder = self.ctx.now % self.clock_period
-        if remainder == ZERO_TIME:
-            return None
-        return self.clock_period - remainder
+    def _cycles(self, n: int) -> SimTime:
+        """The wait of ``n`` bus cycles (one shared instance per ``n``)."""
+        wait = self._cycle_waits.get(n)
+        if wait is None:
+            wait = self._cycle_waits[n] = self.clock_period * n
+        return wait
 
     def _bus_process(self) -> Generator:
+        ctx = self.ctx
         period = self.clock_period
-        timing = self.timing
+        period_fs = period._fs
+        cmd_cycles = self.timing.cmd_cycles
+        cmd_wait = self._cycles(cmd_cycles)
+        pipelined = self.timing.pipelined
+        pending = self._pending
         while True:
-            while not self._pending:
+            while not pending:
                 yield self._request_event
-            align = self._align_to_cycle()
-            if align is not None:
-                yield align
-            if not self._pending:
-                continue
+            # Grants happen on cycle boundaries.
+            remainder = ctx._now_fs % period_fs
+            if remainder:
+                yield SimTime._from_fs(period_fs - remainder)
+                if not pending:
+                    continue
             inj = self.fault_injector
-            candidates = self._pending
+            candidates = pending
             if inj is not None:
-                candidates = inj.arbitration_candidates(self, self._pending)
+                candidates = inj.arbitration_candidates(self, pending)
                 if not candidates:  # every requester starved: idle cycle
                     yield period
                     continue
-            txn = self.arbiter.pick(candidates, self.current_cycle)
+            txn = self.arbiter.pick(candidates, ctx._now_fs // period_fs)
             if txn is None:  # strict TDMA: idle slot
                 yield period
                 continue
             if self._m_grants is not None:
                 self._m_grants.inc()
-                if len(self._pending) > 1:
-                    self._m_contended.inc(len(self._pending) - 1)
-            self._pending.remove(txn)
+                if len(pending) > 1:
+                    self._m_contended.inc(len(pending) - 1)
+            pending.remove(txn)
             request = txn.request
             if inj is not None and inj.force_error(self, request):
-                yield period * timing.cmd_cycles
-                self._complete(txn, OcpResponse.error(), data_cycles=0,
-                               channel="fault-injected")
+                yield cmd_wait
+                self._complete(txn, OcpResponse.error(), 0, "fault-injected")
                 continue
             binding = self.decode(request.addr, request.nbytes)
             if (binding is not None and inj is not None
                     and inj.decode_miss(self, request)):
                 binding = None
             if binding is None:
-                yield period * timing.cmd_cycles
-                self._complete(txn, OcpResponse.error(), data_cycles=0,
-                               channel="decode-error")
+                yield cmd_wait
+                self._complete(txn, OcpResponse.error(), 0, "decode-error")
                 continue
-            if binding.is_functional:
-                yield from self._run_functional(txn, binding)
-            else:
+            if not binding.is_functional:
                 yield from self._run_transported(txn, binding)
+                continue
+            data_cycles = self.data_cycles(request, binding)
+            channel = self.channel_of(request)
+            if pipelined:
+                # Command phase on the shared path; the data phase
+                # overlaps the next command phase.
+                yield cmd_wait
+                self._start_data_phase(txn, binding, data_cycles, channel)
+            else:
+                yield self._cycles(cmd_cycles + data_cycles)
+                response = self._functional_access(binding, request)
+                self._complete(txn, response, data_cycles, channel)
 
-    def _run_functional(self, txn: _BusTransaction,
-                        binding: SlaveBinding) -> Generator:
-        period = self.clock_period
-        timing = self.timing
-        request = txn.request
-        data_cycles = self.data_cycles(request, binding)
-        channel = self.channel_of(request)
-        if timing.pipelined:
-            # Command phase on the shared path; data phase overlaps the
-            # next command phase, serialized per data channel.
-            yield period * timing.cmd_cycles
-            start = max(
-                self.ctx.now,
-                self._channel_free.get(channel, ZERO_TIME),
-            )
-            end = start + period * data_cycles
-            self._channel_free[channel] = end
-            response = self._functional_access(binding, request)
-            txn.response = response
-            txn.completed_at = end
-            delay = end - self.ctx.now
-            txn.done.notify_after(delay)
-            self._account(txn, response, end, data_cycles, channel)
-            # Bus thread returns immediately: ready to arbitrate the next
-            # command phase while this data phase drains.
+    def _start_data_phase(self, txn: _BusTransaction, binding: SlaveBinding,
+                          data_cycles: int, channel: str) -> None:
+        """Queue a pipelined data phase on its channel, after the phases
+        already queued there; the bus process arbitrates again at once
+        while it drains."""
+        now_fs = self.ctx._now_fs
+        start_fs = self._channel_free.get(channel, 0)
+        if start_fs < now_fs:
+            start_fs = now_fs
+        end_fs = start_fs + self.clock_period._fs * data_cycles
+        self._channel_free[channel] = end_fs
+        response = self._functional_access(binding, txn.request)
+        txn.response = response
+        if end_fs == now_fs:
+            txn.done.notify_delta()
         else:
-            yield period * (timing.cmd_cycles + data_cycles)
-            response = self._functional_access(binding, request)
-            self._complete(txn, response, data_cycles, channel)
+            txn.done._notify_at_fs(end_fs)
+        self._account(txn, response, end_fs, data_cycles, channel)
 
     def _run_transported(self, txn: _BusTransaction,
                          binding: SlaveBinding) -> Generator:
@@ -532,27 +556,22 @@ class BusCam(Module):
     def _complete(self, txn: _BusTransaction, response: OcpResponse,
                   data_cycles: int, channel: str) -> None:
         txn.response = response
-        txn.completed_at = self.ctx.now
         txn.done.notify()
-        self._account(txn, response, self.ctx.now, data_cycles, channel)
+        self._account(txn, response, self.ctx._now_fs, data_cycles, channel)
 
     def _account(self, txn: _BusTransaction, response: OcpResponse,
-                 end: SimTime, data_cycles: int, channel: str) -> None:
-        latency = end - txn.arrival
-        self.stats.record(
-            master=txn.master,
-            latency=latency,
-            nbytes=txn.request.nbytes,
-            ok=response.ok,
-            data_cycles=data_cycles,
-            channel=channel,
-        )
+                 end_fs: int, data_cycles: int, channel: str) -> None:
+        latency_fs = end_fs - txn.arrival_fs
+        nbytes = txn.request.nbytes
+        ok = response.ok
+        self.stats.record(txn.master, latency_fs, nbytes, ok, data_cycles,
+                          channel)
         if self._m_grants is not None:
             self._m_transactions.inc()
-            self._m_bytes.inc(txn.request.nbytes)
-            if not response.ok:
+            self._m_bytes.inc(nbytes)
+            if not ok:
                 self._m_errors.inc()
-            self._m_latency.observe(latency.to("ns"))
+            self._m_latency.observe(SimTime._from_fs(latency_fs).to("ns"))
             self._m_utilization.set(self.utilization(), self.ctx._now_fs)
         if self.recorder is not None:
             self.recorder.record(
@@ -560,9 +579,9 @@ class BusCam(Module):
                 kind=txn.request.cmd.name.lower(),
                 initiator=txn.master,
                 target=channel,
-                begin=txn.arrival,
-                end=end,
-                nbytes=txn.request.nbytes,
+                begin=SimTime._from_fs(txn.arrival_fs),
+                end=SimTime._from_fs(end_fs),
+                nbytes=nbytes,
                 burst=txn.request.burst_length,
             )
 
@@ -583,10 +602,7 @@ class BusCam(Module):
             "stats": self.stats.__snapshot__(),
             "next_seq": peek_counter(self, "_seq"),
             "arbiter": self.arbiter.snapshot_state(),
-            "channel_free": {
-                channel: when._fs
-                for channel, when in self._channel_free.items()
-            },
+            "channel_free": dict(self._channel_free),
             # Socket roster so lazily created attachment points (crossbar
             # per-path sockets) can be re-created before their own
             # records are replayed.
@@ -612,10 +628,7 @@ class BusCam(Module):
         self.stats.__restore__(state["stats"])
         self._seq = itertools.count(state["next_seq"])
         self.arbiter.restore_state(state["arbiter"])
-        self._channel_free = {
-            channel: SimTime._from_fs(when_fs)
-            for channel, when_fs in state["channel_free"].items()
-        }
+        self._channel_free = dict(state["channel_free"])
         for name, priority in state["sockets"]:
             self.master_socket(name, priority)
         payload = state.get("fault_injector")

@@ -18,7 +18,7 @@ from typing import Dict, Generator, Optional
 from repro.kernel.object import SimObject
 from repro.kernel.simtime import SimTime
 from repro.ocp.tl import OcpTargetIf
-from repro.ocp.types import OcpRequest, OcpResponse
+from repro.ocp.types import BurstSeq, OcpRequest, OcpResp, OcpResponse
 
 
 class MemorySlave(SimObject, OcpTargetIf):
@@ -90,30 +90,39 @@ class MemorySlave(SimObject, OcpTargetIf):
 
     # -- functional access (zero simulated time) -----------------------------------
 
+    def _beat_indices(self, request: OcpRequest):
+        """Storage index of every beat of ``request``, in beat order."""
+        word_bytes = self.word_bytes
+        if (request.burst_seq is BurstSeq.INCR
+                and request.word_bytes == word_bytes):
+            # (addr + beat * word_bytes) // word_bytes, beat by beat
+            first = request.addr // word_bytes
+            return range(first, first + request.burst_length)
+        return [request.beat_address(beat) // word_bytes
+                for beat in range(request.burst_length)]
+
     def access(self, request: OcpRequest) -> OcpResponse:
         """Zero-time functional access; bounds-checked."""
         last = request.beat_address(request.burst_length - 1)
         if not (0 <= request.addr and last + self.word_bytes <= self.size):
             return OcpResponse.error()
+        words = self._words
         if request.cmd.is_write:
             if self.readonly:
                 return OcpResponse.error()
-            for beat in range(request.burst_length):
-                index = self._word_index(request.beat_address(beat))
-                value = request.data[beat] & self._word_mask
-                if request.byte_en is not None:
-                    value = self._merge_bytes(index, value, request.byte_en)
-                self._words[index] = value
+            data = request.data
+            mask = self._word_mask
+            byte_en = request.byte_en
+            for beat, index in enumerate(self._beat_indices(request)):
+                value = data[beat] & mask
+                if byte_en is not None:
+                    value = self._merge_bytes(index, value, byte_en)
+                words[index] = value
             self.writes += 1
-            return OcpResponse.write_ok()
-        data = [
-            self._words.get(
-                self._word_index(request.beat_address(beat)), 0
-            )
-            for beat in range(request.burst_length)
-        ]
+            return OcpResponse(OcpResp.DVA)
+        data = [words.get(index, 0) for index in self._beat_indices(request)]
         self.reads += 1
-        return OcpResponse.read_ok(data)
+        return OcpResponse(OcpResp.DVA, data)
 
     def _merge_bytes(self, index: int, new: int, byte_en: int) -> int:
         old = self._words.get(index, 0)

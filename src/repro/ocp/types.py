@@ -97,6 +97,17 @@ class OcpRequest:
         """Total bytes this burst moves."""
         return self.burst_length * self.word_bytes
 
+    def relocated(self, addr: int) -> "OcpRequest":
+        """A copy of this request at ``addr``, not re-validated.
+
+        The caller guarantees ``addr`` is valid (e.g. a bus that decoded
+        the request into a region subtracts the region base).
+        """
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        copy.addr = addr
+        return copy
+
     def beat_address(self, beat: int) -> int:
         """Byte address of the given beat per the burst sequence."""
         if not 0 <= beat < self.burst_length:

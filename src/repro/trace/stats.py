@@ -151,6 +151,10 @@ class TimeStats:
         """Fold one duration into the statistics."""
         self._stats.add(duration.to("ns"))
 
+    def add_fs(self, femtoseconds: int) -> None:
+        """:meth:`add` for a duration in integer femtoseconds."""
+        self._stats.add(femtoseconds / 1_000_000)
+
     @property
     def count(self) -> int:
         """Number of samples."""
