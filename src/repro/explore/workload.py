@@ -211,6 +211,10 @@ class TrafficMaster(Module):
         self.add_thread(self._drive, "drive")
 
     # -- request generation ------------------------------------------------------
+    #
+    # Draws call ``Random._randbelow(n)``, the exact body of
+    # ``randrange(n)`` for ``n >= 1`` minus its argument checks: the
+    # pinned results depend on the two drawing identically.
 
     def _next_request(self, index: int) -> OcpRequest:
         spec = self.spec
@@ -224,7 +228,7 @@ class TrafficMaster(Module):
         elif spec.pattern == "random":
             slots = max((spec.size - span) // spec.word_bytes, 1)
             addr = (spec.base
-                    + self._rng_addr.randrange(slots) * spec.word_bytes)
+                    + self._rng_addr._randbelow(slots) * spec.word_bytes)
             is_read = self._rng_rw.random() < spec.read_fraction
         else:  # pingpong
             addr = spec.base
@@ -234,20 +238,18 @@ class TrafficMaster(Module):
                 OcpCmd.RD, addr, burst_length=spec.burst_length,
                 word_bytes=spec.word_bytes,
             )
-        data = [
-            self._rng_data.randrange(1 << 32)
-            for _ in range(spec.burst_length)
-        ]
+        draw = self._rng_data._randbelow
+        data = [draw(1 << 32) for _ in range(spec.burst_length)]
         return OcpRequest(
             OcpCmd.WR, addr, data=data, burst_length=spec.burst_length,
             word_bytes=spec.word_bytes,
         )
 
-    def _gap_time(self) -> SimTime:
-        mean_fs = self.spec.gap.femtoseconds
+    def _gap_fs(self) -> int:
+        mean_fs = self.spec.gap._fs
         if mean_fs == 0:
-            return ZERO_TIME
-        return SimTime(self._rng_gap.randrange(2 * mean_fs + 1))
+            return 0
+        return self._rng_gap._randbelow(2 * mean_fs + 1)
 
     # -- the driver process ---------------------------------------------------------
 
@@ -260,29 +262,31 @@ class TrafficMaster(Module):
             start_fs = self.start_time._fs
             while self.ctx._now_fs < start_fs:
                 yield SimTime(start_fs - self.ctx._now_fs)
+        ctx = self.ctx
         while spec.transactions is None or self._index < spec.transactions:
-            if self._pending_gap_fs is None:
+            gap_fs = self._pending_gap_fs
+            if gap_fs is None:
                 # Persist the drawn gap before yielding: a checkpoint
                 # taken while parked on the gap must not redraw it on
                 # restore (the RNG stream already advanced).
-                self._pending_gap_fs = self._gap_time()._fs
-            if self._pending_gap_fs > 0:
-                yield SimTime(self._pending_gap_fs)
+                gap_fs = self._pending_gap_fs = self._gap_fs()
+            if gap_fs > 0:
+                yield SimTime._from_fs(gap_fs)
             self._pending_gap_fs = None
             index = self._index
             request = self._next_request(index)
-            begin = self.ctx.now
+            begin_fs = ctx._now_fs
             response = yield from self.socket.transport(request)
-            elapsed = self.ctx.now - begin
-            self.latency.add(elapsed)
+            elapsed_fs = ctx._now_fs - begin_fs
+            self.latency.add_fs(elapsed_fs)
             if self.latency_series is not None:
-                self.latency_series.append(elapsed.to("ns"))
+                self.latency_series.append(elapsed_fs / 1_000_000)
             if response.ok:
                 self.bytes_done += request.nbytes
             else:
                 self.errors += 1
             self.completed += 1
-            self.last_done = self.ctx.now
+            self.last_done = ctx.now
             self._index = index + 1
 
     # -- checkpoint/restore protocol (see repro.snapshot) --------------------
