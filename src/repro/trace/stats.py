@@ -149,7 +149,7 @@ class TimeStats:
 
     def add(self, duration: SimTime) -> None:
         """Fold one duration into the statistics."""
-        self._stats.add(duration.to("ns"))
+        self.add_fs(duration._fs)
 
     def add_fs(self, femtoseconds: int) -> None:
         """:meth:`add` for a duration in integer femtoseconds."""
