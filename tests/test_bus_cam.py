@@ -218,6 +218,31 @@ class TestPipelinedTiming:
         assert done == [("w", "60 ns"), ("w", "100 ns"), ("r", "110 ns"),
                         ("w", "170 ns"), ("r", "170 ns")]
 
+    def test_abandoned_transaction_does_not_wake_the_next(self, ctx, top):
+        """A transport closed by a timeout still completes on the bus
+        later; that completion must not end the socket's next
+        transaction early."""
+        from repro.kernel import SimTimeoutError, with_timeout
+
+        bus = self._plb_like(top, split_rw=True)
+        mem = MemorySlave("m", top, size=4096, read_wait=10, write_wait=1)
+        bus.attach_slave(mem, 0, 4096)
+        socket = bus.master_socket("m0")
+        out = []
+
+        def body():
+            with pytest.raises(SimTimeoutError):
+                yield from with_timeout(ctx, socket.transport(rd(0, 8)),
+                                        ns(50))
+            yield from socket.transport(rd(0x40, 1))
+            out.append(str(ctx.now))
+
+        ctx.register_thread(body, "t")
+        ctx.run()
+        # abandoned: cmd 0-20, read data 20-200.  next: cmd 50-70, read
+        # data waits for the channel, 200-310.
+        assert out == ["310 ns"]
+
 
 class TestDecodeAndErrors:
     def test_unmapped_address_error_response(self, ctx, top):

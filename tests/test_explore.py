@@ -1,5 +1,7 @@
 """Unit tests for the exploration engine."""
 
+import random
+
 import pytest
 
 from repro.kernel import Module, ns, us
@@ -116,8 +118,6 @@ class TestRngDrawEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 16381, 160_000_001,
                                    (1 << 32) - 1, 1 << 32, (1 << 32) + 1])
     def test_randbelow_matches_randrange(self, n):
-        import random
-
         a = random.Random(f"rng-equivalence:{n}")
         b = random.Random(f"rng-equivalence:{n}")
         assert ([a._randbelow(n) for _ in range(300)]
@@ -128,8 +128,6 @@ class TestRngDrawEquivalence:
         """``(1 << 32).bit_length()`` is 33, so ``randrange(1 << 32)``
         draws 33-bit words and rejects half: ``getrandbits(32)`` gives
         different words."""
-        import random
-
         a = random.Random("rng-equivalence:bits")
         b = random.Random("rng-equivalence:bits")
         assert ([a.getrandbits(32) for _ in range(50)]

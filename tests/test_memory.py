@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel import ns
 from repro.cam import MemorySlave, Rom
-from repro.ocp import OcpCmd, OcpRequest, OcpResp
+from repro.ocp import BurstSeq, OcpCmd, OcpRequest, OcpResp
 
 
 def wr(addr, data, **kw):
@@ -50,6 +50,24 @@ class TestFunctionalAccess:
         mem.load_words(0x20, [7, 8, 9])
         assert mem.peek_word(0x24) == 8
         assert mem.access(rd(0x20, 3)).data == [7, 8, 9]
+
+    @pytest.mark.parametrize("seq", list(BurstSeq))
+    @pytest.mark.parametrize("beat_bytes", [2, 4, 8])
+    def test_beats_land_at_their_beat_address(self, ctx, top, seq,
+                                              beat_bytes):
+        """Each beat reads and writes the word at ``beat_address``."""
+        mem = MemorySlave("m", top, size=256)
+        mem.load_words(0, range(1, 65))
+        read = rd(0x24, 4, burst_seq=seq, word_bytes=beat_bytes)
+        assert mem.access(read).data == [
+            mem.peek_word(read.beat_address(beat)) for beat in range(4)]
+        write = wr(0x24, [101, 102, 103, 104], burst_seq=seq,
+                   word_bytes=beat_bytes)
+        assert mem.access(write).ok
+        expected = {write.beat_address(beat) // 4: 101 + beat
+                    for beat in range(4)}
+        for index, value in expected.items():
+            assert mem.peek_word(4 * index) == value
 
     def test_wait_states_advertised(self, ctx, top):
         mem = MemorySlave("m", top, read_wait=3, write_wait=1)
