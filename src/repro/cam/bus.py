@@ -37,7 +37,7 @@ from repro.kernel.errors import ElaborationError, SimulationError
 from repro.kernel.event import Event
 from repro.kernel.module import Module
 from repro.kernel.object import SimObject
-from repro.kernel.simtime import SimTime, ZERO_TIME, ns
+from repro.kernel.simtime import FS_PER_NS, SimTime, ZERO_TIME, ns
 from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
@@ -327,16 +327,12 @@ class BusCam(Module):
         #: only cost is one attribute test per arbitration round.
         self.fault_injector = None
         self.slaves: List[SlaveBinding] = []
-        #: last binding :meth:`decode` hit (regions never overlap)
-        self._last_decoded: Optional[SlaveBinding] = None
         self._pending: List[_BusTransaction] = []
         self._request_event = Event(self, f"{self.full_name}.request")
         self._seq = itertools.count()
         self._sockets: Dict[str, _MasterSocket] = {}
         #: per data channel: time (integer fs) the channel becomes free
         self._channel_free: Dict[str, int] = {}
-        #: ``clock_period * n`` per cycle count ``n`` waited on
-        self._cycle_waits: Dict[int, SimTime] = {}
         self.add_thread(self._bus_process, "bus_process")
 
     # -- construction-time wiring ---------------------------------------------
@@ -394,13 +390,8 @@ class BusCam(Module):
 
     def decode(self, addr: int, nbytes: int) -> Optional[SlaveBinding]:
         """Address decode; the whole burst must fit one region."""
-        last = self._last_decoded
-        if (last is not None and last.base <= addr
-                and addr + nbytes <= last.base + last.size):
-            return last
         for binding in self.slaves:
             if binding.contains(addr, nbytes):
-                self._last_decoded = binding
                 return binding
         return None
 
@@ -437,19 +428,12 @@ class BusCam(Module):
 
     # -- the bus process ------------------------------------------------------------------
 
-    def _cycles(self, n: int) -> SimTime:
-        """The wait of ``n`` bus cycles (one shared instance per ``n``)."""
-        wait = self._cycle_waits.get(n)
-        if wait is None:
-            wait = self._cycle_waits[n] = self.clock_period * n
-        return wait
-
     def _bus_process(self) -> Generator:
         ctx = self.ctx
         period = self.clock_period
         period_fs = period._fs
         cmd_cycles = self.timing.cmd_cycles
-        cmd_wait = self._cycles(cmd_cycles)
+        cmd_wait = period * cmd_cycles
         pipelined = self.timing.pipelined
         pending = self._pending
         while True:
@@ -501,7 +485,7 @@ class BusCam(Module):
                 yield cmd_wait
                 self._start_data_phase(txn, binding, data_cycles, channel)
             else:
-                yield self._cycles(cmd_cycles + data_cycles)
+                yield period * (cmd_cycles + data_cycles)
                 response = self._functional_access(binding, request)
                 self._complete(txn, response, data_cycles, channel)
 
@@ -571,7 +555,7 @@ class BusCam(Module):
             self._m_bytes.inc(nbytes)
             if not ok:
                 self._m_errors.inc()
-            self._m_latency.observe(SimTime._from_fs(latency_fs).to("ns"))
+            self._m_latency.observe(latency_fs / FS_PER_NS)
             self._m_utilization.set(self.utilization(), self.ctx._now_fs)
         if self.recorder is not None:
             self.recorder.record(

@@ -15,7 +15,7 @@ from typing import Generator, Optional
 
 from repro.kernel.errors import SimulationError
 from repro.kernel.module import Module
-from repro.kernel.simtime import SimTime, ZERO_TIME, ns
+from repro.kernel.simtime import FS_PER_NS, SimTime, ZERO_TIME, ns
 from repro.ocp.types import OcpCmd, OcpRequest
 from repro.trace.stats import TimeStats
 
@@ -280,7 +280,7 @@ class TrafficMaster(Module):
             elapsed_fs = ctx._now_fs - begin_fs
             self.latency.add_fs(elapsed_fs)
             if self.latency_series is not None:
-                self.latency_series.append(elapsed_fs / 1_000_000)
+                self.latency_series.append(elapsed_fs / FS_PER_NS)
             if response.ok:
                 self.bytes_done += request.nbytes
             else:

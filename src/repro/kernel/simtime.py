@@ -30,11 +30,14 @@ from typing import Union
 
 from repro.kernel.errors import TimeError
 
+#: Femtoseconds per nanosecond, for integer-fs to float-ns conversion.
+FS_PER_NS = 10**6
+
 #: Femtoseconds per named unit.
 _FS_PER_UNIT = {
     "fs": 1,
     "ps": 10**3,
-    "ns": 10**6,
+    "ns": FS_PER_NS,
     "us": 10**9,
     "ms": 10**12,
     "s": 10**15,

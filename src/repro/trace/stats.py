@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from repro.kernel.simtime import SimTime, ZERO_TIME
+from repro.kernel.simtime import FS_PER_NS, SimTime, ZERO_TIME
 
 
 class OnlineStats:
@@ -153,7 +153,7 @@ class TimeStats:
 
     def add_fs(self, femtoseconds: int) -> None:
         """:meth:`add` for a duration in integer femtoseconds."""
-        self._stats.add(femtoseconds / 1_000_000)
+        self._stats.add(femtoseconds / FS_PER_NS)
 
     @property
     def count(self) -> int:
