@@ -1,7 +1,7 @@
 """Golden equivalence pin of the simulated results of the CCATB stack.
 
 Host-side optimisations of the kernel, the CAM and the traffic masters
-must not move a single simulated number.  This test hashes three
+must not move a single simulated number.  This test hashes four
 groups of simulated output and compares each digest with
 ``tests/data/golden_equivalence.json``, so a failure names the group
 that moved:
@@ -13,7 +13,11 @@ that moved:
   count and output hash;
 * ``bus/<arbiter>/<mode>`` -- seeded multi-master ``BusCam`` replays:
   2-3 masters, zero, cycle-aligned and sub-cycle gaps, per-request
-  completion times and read data.
+  completion times and read data;
+* ``observed/<level>`` and ``observed/explore/<workload>`` -- the full
+  ordered stream of kernel observer hooks (everything but the host-time
+  ``wall_s``) on each ``LEVEL_BUILDERS`` level and on a few E3 points,
+  which pins the observer-attached scheduler path as well.
 
 Regenerate the golden file only for a deliberate change of simulated
 behaviour, and say why in the change description::
@@ -36,6 +40,7 @@ from repro.cam.bus import BusCam, BusTiming
 from repro.cam.memory import MemorySlave
 from repro.explore import DesignSpace, run_point, standard_workloads
 from repro.kernel import Module, SimContext, SimTime, ns, us
+from repro.obs import SimObserver
 from repro.ocp.types import OcpCmd, OcpRequest
 
 GOLDEN = Path(__file__).parent / "data" / "golden_equivalence.json"
@@ -47,6 +52,7 @@ SPACE = DesignSpace(
     clock_periods=(ns(10), ns(5)),
     max_bursts=(2, 16),
 )
+CONFIGS = list(SPACE)
 EXPLORE_TXNS = 40
 
 #: Blocks per flow level: enough to fill and drain each pipeline.
@@ -55,6 +61,12 @@ LEVEL_BLOCKS = {
     "ccatb": 6,
     "cam": 3,
     "prototype": 2,
+}
+
+#: E3 points run with an observer attached: workload -> CONFIGS indices.
+OBSERVED_POINTS = {
+    "cpu_random": (0, 29, 58),
+    "contended": (17, 46),
 }
 
 BUS_PERIOD = ns(10)
@@ -72,25 +84,83 @@ def _digest(records) -> str:
     return sha.hexdigest()
 
 
+class HookRecorder(SimObserver):
+    """Records every kernel hook call with all its arguments except the
+    host-time ``wall_s``: names stand in for processes and events, and
+    the blocked-process list of a starved run is reduced to its length.
+    """
+
+    def __init__(self):
+        self.stream = []
+
+    def on_process_activate(self, process, now_fs):
+        self.stream.append(["activate", process.name, now_fs])
+
+    def on_process_suspend(self, process, now_fs, wall_s):
+        self.stream.append(["suspend", process.name, now_fs])
+
+    def on_event_fire(self, event, kind, now_fs):
+        self.stream.append(["event", event.name, kind, now_fs])
+
+    def on_update_phase(self, channel_count, now_fs):
+        self.stream.append(["update", channel_count, now_fs])
+
+    def on_delta_cycle(self, delta_count, now_fs):
+        self.stream.append(["delta", delta_count, now_fs])
+
+    def on_time_advance(self, now_fs):
+        self.stream.append(["advance", now_fs])
+
+    def on_run_starved(self, context, blocked, now_fs):
+        self.stream.append(["starved", len(blocked), now_fs])
+
+
+def explore_specs(workload: str) -> list:
+    return [dataclasses.replace(spec, transactions=EXPLORE_TXNS)
+            for spec in standard_workloads()[workload]]
+
+
+def point_dict(workload: str, index: int, observer=None) -> dict:
+    data = run_point(CONFIGS[index], explore_specs(workload),
+                     workload_name=workload, seed=index + 1,
+                     observer=observer).to_dict()
+    data.pop("wall_seconds")
+    return data
+
+
 def explore_records(workload: str) -> list:
-    specs = [dataclasses.replace(spec, transactions=EXPLORE_TXNS)
-             for spec in standard_workloads()[workload]]
+    return [point_dict(workload, index) for index in range(len(CONFIGS))]
+
+
+def observed_explore_records(workload: str) -> list:
     records = []
-    for index, config in enumerate(SPACE):
-        data = run_point(config, specs, workload_name=workload,
-                         seed=index + 1).to_dict()
-        data.pop("wall_seconds")
-        records.append(data)
+    for index in OBSERVED_POINTS[workload]:
+        recorder = HookRecorder()
+        point_dict(workload, index, observer=recorder)
+        records.extend(recorder.stream)
     return records
 
 
-def level_records(name: str, builder) -> list:
+def run_level(name: str, builder, observer=None):
     system = builder(LEVEL_BLOCKS[name])
+    if observer is not None:
+        system.ctx.attach_observer(observer)
     if name == "prototype":
         # the free-running clock never starves; the sink stops the run
         system.ctx.run(us(1_000_000))
     else:
         system.ctx.run()
+    return system
+
+
+def observed_level_records(name: str, builder) -> list:
+    recorder = HookRecorder()
+    run_level(name, builder, observer=recorder)
+    return recorder.stream
+
+
+def level_records(name: str, builder) -> list:
+    system = run_level(name, builder)
     outputs = json.dumps(system.outputs()).encode("utf-8")
     return [{
         "end_fs": system.ctx.last_activity_time.femtoseconds,
@@ -181,6 +251,12 @@ def groups() -> dict:
         for mode in BUS_MODES:
             table[f"bus/{arbiter}/{mode}"] = (
                 lambda a=arbiter, m=mode: bus_records(a, m))
+    for name, builder in LEVEL_BUILDERS:
+        table[f"observed/{name}"] = (
+            lambda n=name, b=builder: observed_level_records(n, b))
+    for workload in OBSERVED_POINTS:
+        table[f"observed/explore/{workload}"] = (
+            lambda w=workload: observed_explore_records(w))
     return table
 
 
@@ -194,6 +270,14 @@ def test_simulated_results_match_golden():
     assert sorted(actual) == sorted(golden), "group set changed"
     moved = [name for name in sorted(golden) if actual[name] != golden[name]]
     assert not moved, f"simulated results moved in groups: {moved}"
+
+
+def test_observer_does_not_change_point_results():
+    for workload, indices in OBSERVED_POINTS.items():
+        for index in indices:
+            observed = point_dict(workload, index, observer=HookRecorder())
+            assert observed == point_dict(workload, index), (
+                f"{workload} point {index} moved with an observer attached")
 
 
 if __name__ == "__main__":
