@@ -210,8 +210,8 @@ def measure_obs_overhead(scale: float, repeats: int) -> dict:
     """Best-of-N timed_storm rate without and with an attached observer.
 
     The "on" case attaches a bare no-op :class:`repro.obs.SimObserver`,
-    so the ratio isolates the cost of the instrumented event loop and
-    the hook calls themselves, not any particular consumer.
+    so the ratio isolates the cost of the hook calls and the dispatch
+    timing themselves, not any particular consumer.
     """
     from repro.obs import SimObserver
 
@@ -233,9 +233,12 @@ def noop_hook_check() -> list:
     """Deterministic observability sanity checks; returns failures.
 
     Two invariants that must hold on every commit, quick mode included:
-    an attached observer sees kernel activity, and a detached one sees
-    none (i.e. the instrumentation-off path really is hook-free).
+    an attached observer sees kernel activity, and with no observer
+    attached a run calls no hook and never reads the host clock — the
+    kernel module's ``time`` is swapped for a stub whose
+    ``perf_counter`` raises, so the check is immune to wall-clock noise.
     """
+    import repro.kernel.context as context_module
     from repro.obs import CountingObserver
 
     failures = []
@@ -245,6 +248,11 @@ def noop_hook_check() -> list:
         failures.append("attached CountingObserver saw no kernel hooks")
     if counting.activations == 0:
         failures.append("attached observer saw no process activations")
+
+    class NoClock:
+        @staticmethod
+        def perf_counter():
+            raise AssertionError("perf_counter read with no observer")
 
     detached = CountingObserver()
     ctx = SimContext()
@@ -256,29 +264,19 @@ def noop_hook_check() -> list:
             yield ns(10)
 
     ctx.register_thread(body, "p")
-    ctx.run()
-    if detached.total:
-        failures.append(
-            f"detached observer still received {detached.total} hooks"
-        )
-
-    # Structural guarantee: with no observer the kernel must run the
-    # uninstrumented fast loop — the strongest form of "obs off is
-    # free", and immune to wall-clock noise.
-    ctx2 = SimContext()
-
-    def bomb(limit_fs):
-        raise AssertionError("instrumented loop used without observer")
-
-    ctx2._event_loop_instrumented = bomb
-    ctx2.register_thread(body, "p")
+    real_time = context_module.time
+    context_module.time = NoClock
     try:
-        ctx2.run()
+        ctx.run()
     except AssertionError:
         failures.append(
-            "kernel dispatched to the instrumented event loop with no "
-            "observer attached"
+            "kernel read the host clock with no observer attached"
         )
+    finally:
+        context_module.time = real_time
+    hooks = detached.total + detached.run_starvations
+    if hooks:
+        failures.append(f"detached observer still received {hooks} hooks")
     return failures
 
 

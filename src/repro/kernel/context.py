@@ -119,8 +119,8 @@ class SimContext:
         #: Why the most recent ``run`` ended: None (never ran) or one of
         #: ``"stopped"`` / ``"starved"`` / ``"limit"`` / ``"failed"``.
         self.last_run_outcome: Optional[str] = None
-        #: Instrumentation observer (see ``repro.obs.hooks``); None keeps
-        #: the scheduler on the hook-free fast path.
+        #: Instrumentation observer (see ``repro.obs.hooks``); with None
+        #: the scheduler calls no hook and reads no host clock.
         self._obs = None
         self.elaborated = False
         self._stop_requested = False
@@ -387,10 +387,11 @@ class SimContext:
 
         ``observer`` follows the :class:`repro.obs.hooks.SimObserver`
         protocol (duck-typed — the kernel does not import the
-        observability layer).  While an observer is attached, ``run``
-        uses an instrumented twin of the event loop that invokes the
-        observer's hooks; with none attached the original hook-free loop
-        runs.  Only one observer may be attached at a time; fan out with
+        observability layer, but calls every hook of that protocol).
+        While an observer is attached, the event loop calls its hooks at
+        every scheduling boundary and times each process dispatch; with
+        none attached it calls no hook and reads no host clock.  Only
+        one observer may be attached at a time; fan out with
         :class:`repro.obs.hooks.ObserverGroup`.
         """
         if self._obs is not None and self._obs is not observer:
@@ -401,7 +402,7 @@ class SimContext:
         self._obs = observer
 
     def detach_observer(self, observer=None) -> None:
-        """Remove the attached observer (restores the fast path).
+        """Remove the attached observer (later runs call no hook).
 
         With ``observer`` given, detaches only if it is the one
         currently attached; with None, unconditionally detaches.
@@ -464,10 +465,7 @@ class SimContext:
         self._running = True
         _active_context = self
         try:
-            if self._obs is None:
-                self._event_loop(limit_fs)
-            else:
-                self._event_loop_instrumented(limit_fs)
+            self._event_loop(limit_fs)
         finally:
             self._running = False
             _active_context = None
@@ -488,9 +486,8 @@ class SimContext:
             # of most finite workloads, so this is never printed
             # unsolicited — but an attached observer is told, turning a
             # silent hang into an inspectable record.
-            hook = getattr(self._obs, "on_run_starved", None)
-            if hook is not None:
-                hook(self, self.blocked_processes(), self._now_fs)
+            self._obs.on_run_starved(self, self.blocked_processes(),
+                                     self._now_fs)
         if starved and limit_fs is not None and self._now_fs < limit_fs:
             # Starved before the limit: time still advances to the limit so
             # that consecutive run() calls compose predictably.
@@ -507,12 +504,23 @@ class SimContext:
     # ------------------------------------------------------------------
 
     def _event_loop(self, limit_fs: Optional[int]) -> None:
-        # NOTE: any scheduling change here must be mirrored in
-        # _event_loop_instrumented below (the observer-attached twin).
         # Hot attributes and helpers bound to locals: at millions of
         # iterations the repeated attribute lookups dominate, and none of
         # these objects are rebound elsewhere (the update/delta lists are
-        # swapped wholesale, so those stay attribute accesses).
+        # swapped wholesale, so those stay attribute accesses).  The
+        # observer is read once per run; with one attached its hooks are
+        # bound to locals too, and each dispatch is timed with a
+        # ``perf_counter`` pair.  With none, every hook site costs one
+        # ``obs is not None`` test.
+        obs = self._obs
+        if obs is not None:
+            on_activate = obs.on_process_activate
+            on_suspend = obs.on_process_suspend
+            on_event = obs.on_event_fire
+            on_update = obs.on_update_phase
+            on_delta = obs.on_delta_cycle
+            on_advance = obs.on_time_advance
+            perf = time.perf_counter
         runnable = self._runnable
         popleft = runnable.popleft
         heap = self._timed_heap
@@ -526,7 +534,14 @@ class SimContext:
                 while runnable:
                     proc = popleft()
                     self.current_process = proc
-                    proc._dispatch()
+                    if obs is None:
+                        proc._dispatch()
+                    else:
+                        now_fs = self._now_fs
+                        on_activate(proc, now_fs)
+                        start = perf()
+                        proc._dispatch()
+                        on_suspend(proc, now_fs, perf() - start)
                     if self._stop_requested:
                         break
                 self.current_process = None
@@ -538,6 +553,8 @@ class SimContext:
                 updates = self._update_queue
                 self._update_queue = []
                 self._update_set.clear()
+                if obs is not None:
+                    on_update(len(updates), self._now_fs)
                 for channel in updates:
                     channel._perform_update()
 
@@ -546,11 +563,15 @@ class SimContext:
                 events = self._delta_events
                 self._delta_events = []
                 for ev in events:
+                    if obs is not None and ev._pending_kind == "delta":
+                        on_event(ev, "delta", self._now_fs)
                     ev._fire_scheduled("delta")
 
             if runnable:
                 self._delta_count += 1
                 self._deltas_this_timestep += 1
+                if obs is not None:
+                    on_delta(self._delta_count, self._now_fs)
                 if self._deltas_this_timestep > max_deltas:
                     raise SimulationError(
                         f"more than {max_deltas} delta "
@@ -575,10 +596,14 @@ class SimContext:
             if limit_fs is not None and when_fs > limit_fs:
                 self._now_fs = limit_fs
                 self._now = SimTime._from_fs(limit_fs)
+                if obs is not None:
+                    on_advance(limit_fs)
                 return
             self._now_fs = when_fs
             self._now = SimTime._from_fs(when_fs)
             self._deltas_this_timestep = 0
+            if obs is not None:
+                on_advance(when_fs)
             # Single drain of everything scheduled at this instant, in
             # seq order; cancelled entries pop and drop.  Entries pushed
             # *during* firing land in heap order and are picked up too.
@@ -586,114 +611,14 @@ class SimContext:
                 entry = heappop(heap)
                 kind = entry[2]
                 if kind == KIND_EVENT:
+                    if obs is not None:
+                        on_event(entry[3], "timed", when_fs)
                     entry[3]._fire_scheduled("timed")
                 elif kind == KIND_RESUME:
                     entry[3]._timeout_fired()
             self._delta_count += 1
-
-    def _event_loop_instrumented(self, limit_fs: Optional[int]) -> None:
-        """Instrumented twin of :meth:`_event_loop`.
-
-        Kept as a *separate* function so the uninstrumented loop stays
-        branch-free (the observability-off hot path is byte-identical to
-        the fast path); any scheduling change there must be mirrored
-        here.  Adds, per scheduling boundary, one hook call into the
-        attached observer plus a ``perf_counter`` pair around each
-        process dispatch (the profiler's host-cost source).
-        """
-        obs = self._obs
-        on_activate = obs.on_process_activate
-        on_suspend = obs.on_process_suspend
-        on_event = obs.on_event_fire
-        on_update = obs.on_update_phase
-        on_delta = obs.on_delta_cycle
-        on_advance = obs.on_time_advance
-        perf = time.perf_counter
-        runnable = self._runnable
-        popleft = runnable.popleft
-        heap = self._timed_heap
-        heappop = heapq.heappop
-        max_deltas = self.max_deltas_per_timestep
-        while True:
-            # -- evaluation phase --------------------------------------
-            ran_any = bool(runnable)
-            if ran_any:
-                self._last_activity = self._now
-                while runnable:
-                    proc = popleft()
-                    self.current_process = proc
-                    now_fs = self._now_fs
-                    on_activate(proc, now_fs)
-                    start = perf()
-                    proc._dispatch()
-                    on_suspend(proc, now_fs, perf() - start)
-                    if self._stop_requested:
-                        break
-                self.current_process = None
-                if self._stop_requested:
-                    return
-
-            # -- update phase ------------------------------------------
-            if self._update_queue:
-                updates = self._update_queue
-                self._update_queue = []
-                self._update_set.clear()
-                on_update(len(updates), self._now_fs)
-                for channel in updates:
-                    channel._perform_update()
-
-            # -- delta notification phase --------------------------------
-            if self._delta_events:
-                events = self._delta_events
-                self._delta_events = []
-                now_fs = self._now_fs
-                for ev in events:
-                    if ev._pending_kind == "delta":
-                        on_event(ev, "delta", now_fs)
-                    ev._fire_scheduled("delta")
-
-            if runnable:
-                self._delta_count += 1
-                self._deltas_this_timestep += 1
-                on_delta(self._delta_count, self._now_fs)
-                if self._deltas_this_timestep > max_deltas:
-                    raise SimulationError(
-                        f"more than {max_deltas} delta "
-                        f"cycles at time {self._now}; the model is probably "
-                        f"in a zero-time activity loop"
-                    )
-                continue
-
-            if ran_any and not heap:
-                # Give one more pass in case the update phase scheduled work.
-                if runnable or self._delta_events or self._update_queue:
-                    continue
-
-            # -- timed notification phase --------------------------------
-            while heap and heap[0][2] == KIND_CANCELLED:
-                heappop(heap)
-            if not heap:
-                return  # starvation
-            when_fs = heap[0][0]
-            if limit_fs is not None and when_fs > limit_fs:
-                self._now_fs = limit_fs
-                self._now = SimTime._from_fs(limit_fs)
-                on_advance(limit_fs)
-                return
-            self._now_fs = when_fs
-            self._now = SimTime._from_fs(when_fs)
-            self._deltas_this_timestep = 0
-            on_advance(when_fs)
-            while heap and heap[0][0] == when_fs:
-                entry = heappop(heap)
-                kind = entry[2]
-                if kind == KIND_EVENT:
-                    on_event(entry[3], "timed", when_fs)
-                    entry[3]._fire_scheduled("timed")
-                elif kind == KIND_RESUME:
-                    entry[3]._timeout_fired()
-            self._delta_count += 1
-            on_delta(self._delta_count, when_fs)
+            if obs is not None:
+                on_delta(self._delta_count, when_fs)
 
     # ------------------------------------------------------------------
     # diagnostics

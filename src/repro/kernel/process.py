@@ -342,20 +342,26 @@ class ThreadProcess(Process):
         self._gen: Optional[Generator] = None
         self.dont_initialize = dont_initialize
 
-    def _start(self) -> None:
-        """Create the underlying generator (first dispatch)."""
+    def _start(self) -> Optional[Generator]:
+        """Create the underlying generator (first dispatch).
+
+        Returns None when the body was a plain function (no yields) that
+        already ran to completion.
+        """
         result = self._fn()
         if result is None:
-            # A plain function (no yields): it already ran to completion.
             self._terminate()
-            return
+            return None
         if not hasattr(result, "send"):
             raise ProcessError(
                 f"thread process {self.name!r} must be a generator "
                 f"function, got {type(result).__name__}"
             )
         self._gen = result
-        self._advance(first=True)
+        # A just-started generator accepts only None: a static-sensitivity
+        # wake of a dont_initialize thread is not delivered.
+        self._wake_value = None
+        return result
 
     def _dispatch(self) -> None:
         # The steady-state resume path is fully inlined here: one
@@ -364,12 +370,14 @@ class ThreadProcess(Process):
         # TIMED branch does; an Event whose cached wait condition exists
         # joins its waiter list exactly as the single-event ANY branch
         # does.  Every other yield goes through normalize/_apply_wait.
+        # The first dispatch starts the generator and then takes the
+        # same path.
+        self.state = _RUNNING
         gen = self._gen
         if gen is None:
-            self.state = _RUNNING
-            self._start()
-            return
-        self.state = _RUNNING
+            gen = self._start()
+            if gen is None:
+                return
         wake = self._wake_value
         self._wake_value = None
         try:
@@ -398,25 +406,6 @@ class ThreadProcess(Process):
                 self._wait_events = cond.events
                 yielded._dynamic_waiters.append(self)
                 return
-        self._apply_wait(WaitCondition.normalize(yielded))
-
-    def _advance(self, first: bool = False) -> None:
-        self.state = ProcessState.RUNNING
-        wake = self._wake_value
-        self._wake_value = None
-        try:
-            if first:
-                yielded = next(self._gen)
-            else:
-                yielded = self._gen.send(wake)
-        except StopIteration:
-            self._terminate()
-            return
-        except BaseException as exc:
-            self.exception = exc
-            self._terminate()
-            self.ctx._process_failed(self, exc)
-            return
         self._apply_wait(WaitCondition.normalize(yielded))
 
 

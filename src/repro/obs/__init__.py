@@ -6,8 +6,8 @@ contention out of a fast simulation, and this package is where those
 readings live.
 
 * :mod:`repro.obs.hooks` — the kernel instrumentation contract
-  (:class:`SimObserver`); attaching one switches the scheduler to an
-  instrumented loop, detaching restores the zero-overhead fast path.
+  (:class:`SimObserver`); while one is attached the scheduler calls its
+  hooks, and with none it calls no hook and reads no host clock.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, histograms and time-weighted gauges that the bus CAMs, the
   OCP monitor, FIFOs and transaction recorders publish into.

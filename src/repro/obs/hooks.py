@@ -2,10 +2,11 @@
 
 :class:`SimObserver` is the contract between the scheduler and the
 observability layer: :meth:`~repro.kernel.context.SimContext.attach_observer`
-installs one observer, and the kernel switches to an instrumented twin of
-its event loop that invokes the observer's hooks at every scheduling
-boundary.  With no observer attached the kernel runs the original,
-hook-free loop — instrumentation-off simulations pay nothing.
+installs one observer, and the kernel's single event loop calls its hooks
+at every scheduling boundary and times each process dispatch.  With no
+observer attached the loop calls no hook and never reads the host clock;
+instrumentation-off simulations pay one ``obs is not None`` test per hook
+site.
 
 All hook timestamps are integer femtoseconds (the kernel's canonical
 time representation); ``wall_s`` durations are host seconds from
@@ -36,9 +37,11 @@ from typing import Tuple
 class SimObserver:
     """Base kernel observer: every hook is a no-op.
 
-    Subclass and override the hooks you need; attaching a plain
-    ``SimObserver()`` is the canonical way to measure the cost of the
-    instrumented scheduler loop itself (see ``benchmarks/run_all.py``).
+    Subclass and override the hooks you need; the kernel calls every
+    hook, so observers must subclass this (or define all seven).
+    Attaching a plain ``SimObserver()`` is the canonical way to measure
+    the cost of the hook calls and dispatch timing themselves (see
+    ``benchmarks/run_all.py``).
     """
 
     __slots__ = ()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.kernel.context as context_module
 from repro.kernel import Signal, SimContext, SimulationError, ns
 from repro.obs import CountingObserver, ObserverGroup, SimObserver
 
@@ -75,14 +76,20 @@ class TestHookCoverage:
         ctx.detach_observer()
         ctx.run()
         assert counting.total == 0
+        assert counting.run_starvations == 0
 
-    def test_instrumentation_off_uses_fast_loop(self, ctx, monkeypatch):
-        """With no observer the instrumented loop must never run."""
+    def test_instrumentation_off_reads_no_clock(self, ctx, monkeypatch):
+        """With no observer the event loop never reads the host clock:
+        the kernel module's ``time`` is replaced by a stub whose
+        ``perf_counter`` raises.  (That it calls no hook either is
+        ``test_detached_observer_sees_nothing``.)"""
 
-        def bomb(limit_fs):
-            raise AssertionError("instrumented loop without observer")
+        class NoClock:
+            @staticmethod
+            def perf_counter():
+                raise AssertionError("perf_counter read with no observer")
 
-        monkeypatch.setattr(ctx, "_event_loop_instrumented", bomb)
+        monkeypatch.setattr(context_module, "time", NoClock)
         _workload(ctx)
         ctx.run()
         assert ctx.now == ns(50)
