@@ -25,6 +25,7 @@ from repro.obs import (
     SimProfiler,
     TraceEventCollector,
     watch_fifo,
+    watch_recorder,
 )
 from repro.ocp.types import OcpCmd, OcpRequest
 from repro.trace import TransactionRecorder
@@ -79,7 +80,8 @@ def build(ctx, registry, recorder):
 def main():
     ctx = SimContext()
     registry = MetricsRegistry()
-    recorder = TransactionRecorder(keep_records=False, metrics=registry)
+    recorder = TransactionRecorder(keep_records=False)
+    watch_recorder(recorder, registry)
     build(ctx, registry, recorder)
 
     profiler = SimProfiler()

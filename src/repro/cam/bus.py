@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional
 
 from repro.kernel.errors import ElaborationError, SimulationError
 from repro.kernel.event import Event
@@ -209,6 +209,16 @@ class _MasterSocket(SimObject, OcpTargetIf):
         return OcpResponse.write_ok()
 
 
+def pooled_mean_latency_ns(stats: Iterable[TimeStats]) -> float:
+    """Mean over the pooled samples of several latency statistics."""
+    total_ns = 0.0
+    count = 0
+    for s in stats:
+        total_ns += s.total_ns
+        count += s.count
+    return total_ns / count if count else 0.0
+
+
 class BusStats:
     """Aggregated CCATB bus statistics."""
 
@@ -266,12 +276,7 @@ class BusStats:
         if master is not None:
             stats = self.latency_by_master.get(master)
             return stats.mean_ns if stats else 0.0
-        merged = [s for s in self.latency_by_master.values() if s.count]
-        if not merged:
-            return 0.0
-        total = sum(s.total_ns for s in merged)
-        count = sum(s.count for s in merged)
-        return total / count
+        return pooled_mean_latency_ns(self.latency_by_master.values())
 
 
 class BusCam(Module):

@@ -23,7 +23,12 @@ from repro.kernel.simtime import SimTime, ns
 from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, RoundRobinArbiter
-from repro.cam.bus import BusCam, BusTiming, SlaveBinding
+from repro.cam.bus import (
+    BusCam,
+    BusTiming,
+    SlaveBinding,
+    pooled_mean_latency_ns,
+)
 from repro.trace.transaction import TransactionRecorder
 
 
@@ -168,12 +173,6 @@ class CrossbarCam(Module):
 
     def report(self) -> Dict[str, object]:
         """Summary dict aggregated over the per-slave paths."""
-        total_ns = 0.0
-        count = 0
-        for path in self.paths:
-            for stats in path.stats.latency_by_master.values():
-                total_ns += stats.total_ns
-                count += stats.count
         return {
             "bus": self.full_name,
             "transactions": self.transactions,
@@ -181,7 +180,10 @@ class CrossbarCam(Module):
             "errors": sum(
                 path.stats.error_responses for path in self.paths
             ) + self.decode_errors,
-            "mean_latency_ns": total_ns / count if count else 0.0,
+            "mean_latency_ns": pooled_mean_latency_ns(
+                stats for path in self.paths
+                for stats in path.stats.latency_by_master.values()
+            ),
             "utilization": self.utilization(),
             "arbiter": self.arbiter_factory().name,
         }

@@ -37,8 +37,8 @@ def watch_recorder(recorder, registry: MetricsRegistry,
     Subscribes to a :class:`~repro.trace.transaction.TransactionRecorder`
     and accumulates ``{prefix}.transactions``, ``{prefix}.bytes`` and a
     ``{prefix}.latency_ns`` histogram, plus a per-kind transaction
-    counter — the OCP/SHIP channel throughput instrument.  Equivalent to
-    constructing the recorder with ``metrics=registry``.
+    counter ``{prefix}.kind.<kind>`` — the one recorder-to-registry
+    wiring, used for the OCP/SHIP channel throughput instrument.
     """
     txns = registry.counter(f"{prefix}.transactions")
     nbytes = registry.counter(f"{prefix}.bytes")

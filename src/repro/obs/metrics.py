@@ -13,7 +13,7 @@ via :meth:`MetricsRegistry.snapshot`:
   bytes, arbiter grants).
 * :class:`Gauge` — last-written value (bus utilization).
 * :class:`HistogramMetric` — streaming moments over observed samples
-  (latencies), built on :class:`~repro.trace.stats.OnlineStats`.
+  (latencies); a named :class:`~repro.trace.stats.OnlineStats`.
 * :class:`TimeWeightedGauge` — a value integrated over *simulated* time
   (FIFO occupancy, busy flags); its :meth:`~TimeWeightedGauge.mean` is
   the time-weighted average, which is what "average occupancy" and
@@ -85,42 +85,30 @@ class Gauge:
         return f"Gauge({self.name!r}, {self.value})"
 
 
-class HistogramMetric:
+class HistogramMetric(OnlineStats):
     """Streaming sample statistics (count/mean/stddev/min/max/total)."""
 
-    __slots__ = ("name", "_stats")
+    __slots__ = ("name",)
 
     kind = "histogram"
 
     def __init__(self, name: str):
+        super().__init__()
         self.name = name
-        self._stats = OnlineStats()
 
-    def observe(self, value: float) -> None:
-        """Fold one sample into the running moments."""
-        self._stats.add(value)
-
-    @property
-    def count(self) -> int:
-        """Number of observed samples."""
-        return self._stats.count
-
-    @property
-    def mean(self) -> float:
-        """Running mean of the samples."""
-        return self._stats.mean
+    #: Fold one sample into the running moments.
+    observe = OnlineStats.add
 
     def snapshot(self, now_fs: Optional[int] = None) -> dict:
         """JSON-able state of this instrument."""
-        s = self._stats
         return {
             "type": self.kind,
-            "count": s.count,
-            "mean": s.mean,
-            "stddev": s.stddev,
-            "min": s.minimum,
-            "max": s.maximum,
-            "total": s.total,
+            "count": self.count,
+            "mean": self.mean,
+            "stddev": self.stddev,
+            "min": self.minimum,
+            "max": self.maximum,
+            "total": self.total,
         }
 
     def merge_snapshot(self, snap: dict) -> None:
@@ -145,7 +133,7 @@ class HistogramMetric:
         other._m2 = stddev * stddev * count
         other.minimum = snap.get("min")
         other.maximum = snap.get("max")
-        self._stats = self._stats.merge(other)
+        self.__restore__(self.merge(other).__snapshot__())
 
     def __repr__(self) -> str:
         return f"HistogramMetric({self.name!r}, n={self.count})"

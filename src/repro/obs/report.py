@@ -39,6 +39,7 @@ from repro.kernel.context import SimContext
 from repro.kernel.module import Module
 from repro.kernel.simtime import ns, us
 from repro.obs.hooks import ObserverGroup
+from repro.obs.instruments import watch_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SimProfiler
 from repro.obs.trace_events import TraceEventCollector
@@ -79,7 +80,8 @@ def run_demo(transactions: int = 20, masters: int = 2,
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     registry = MetricsRegistry()
-    recorder = TransactionRecorder(keep_records=False, metrics=registry)
+    recorder = TransactionRecorder(keep_records=False)
+    watch_recorder(recorder, registry)
     plb = PlbBus("plb", top, recorder=recorder, metrics=registry)
     memory = MemorySlave("mem", top, size=1 << 16, read_wait=1,
                          write_wait=1)

@@ -59,18 +59,13 @@ class TransactionRecorder:
 
     Summary statistics (counts, bytes, latency moments) accumulate
     whether or not records are retained: ``keep_records=False`` trades
-    the per-record storage away while every statistic and metric keeps
+    the per-record storage away while every statistic and listener keeps
     working, which is the long-sweep / exploration configuration.
-
-    ``metrics`` optionally publishes the stream into a
-    :class:`repro.obs.metrics.MetricsRegistry` (duck-typed, so this
-    module does not depend on the observability layer): counters
-    ``{prefix}.transactions`` / ``{prefix}.bytes`` and histogram
-    ``{prefix}.latency_ns``, with ``prefix`` defaulting to ``trace``.
+    :func:`repro.obs.watch_recorder` publishes the stream into a metrics
+    registry.
     """
 
-    def __init__(self, keep_records: bool = True, metrics=None,
-                 metrics_prefix: Optional[str] = None):
+    def __init__(self, keep_records: bool = True):
         self.keep_records = keep_records
         self.records: List[TransactionRecord] = []
         self.count = 0
@@ -81,16 +76,6 @@ class TransactionRecorder:
         #: ``keep_records=False``.
         self._overall_latency = TimeStats()
         self._listeners: List[Callable[[TransactionRecord], None]] = []
-        self.metrics = metrics
-        if metrics is not None:
-            prefix = metrics_prefix or "trace"
-            self._m_transactions = metrics.counter(f"{prefix}.transactions")
-            self._m_bytes = metrics.counter(f"{prefix}.bytes")
-            self._m_latency = metrics.histogram(f"{prefix}.latency_ns")
-        else:
-            self._m_transactions = None
-            self._m_bytes = None
-            self._m_latency = None
 
     def record(
         self,
@@ -120,10 +105,6 @@ class TransactionRecorder:
         latency = rec.latency
         self.latency_by_kind.setdefault(kind, TimeStats()).add(latency)
         self._overall_latency.add(latency)
-        if self._m_transactions is not None:
-            self._m_transactions.inc()
-            self._m_bytes.inc(nbytes)
-            self._m_latency.observe(latency.to("ns"))
         if self.keep_records:
             self.records.append(rec)
         for listener in self._listeners:
@@ -174,36 +155,11 @@ class TransactionRecorder:
     def clear(self) -> None:
         """Drop records and reset statistics.
 
-        Metrics already published to an attached registry are counters
-        in that registry's namespace and are intentionally not rolled
-        back.
+        Metrics a listener already published (e.g. through
+        :func:`repro.obs.watch_recorder`) are not rolled back.
         """
         self.records.clear()
         self.count = 0
         self.total_bytes = 0
         self.latency_by_kind.clear()
         self._overall_latency = TimeStats()
-
-
-def latency_histogram(recorder: TransactionRecorder, bins: int = 20,
-                      kind: Optional[str] = None):
-    """Build a latency :class:`~repro.trace.stats.Histogram` (ns) from a
-    recorder's kept records.
-
-    The bin range spans the observed min/max; requires
-    ``keep_records=True`` and at least one record.
-    """
-    from repro.trace.stats import Histogram
-
-    records = (recorder.by_kind(kind) if kind is not None
-               else recorder.records)
-    if not records:
-        raise ValueError("no records to histogram")
-    values = [r.latency.to("ns") for r in records]
-    low, high = min(values), max(values)
-    if high <= low:
-        high = low + 1.0
-    hist = Histogram(low, high + 1e-9, bins=bins)
-    for v in values:
-        hist.add(v)
-    return hist

@@ -14,9 +14,8 @@ from repro.trace import TransactionRecorder
 class TestShipObservability:
     def test_ship_transfers_publish_metrics_and_spans(self, ctx, top):
         registry = MetricsRegistry()
-        recorder = TransactionRecorder(keep_records=False,
-                                       metrics=registry,
-                                       metrics_prefix="ship")
+        recorder = TransactionRecorder(keep_records=False)
+        watch_recorder(recorder, registry, prefix="ship")
         collector = TraceEventCollector(process_tracks=False)
         collector.attach_recorder(recorder)
         chan = ShipChannel("link", top, recorder=recorder)
@@ -64,6 +63,22 @@ class TestShipObservability:
         kind_counters = [n for n in registry.names()
                          if n.startswith("ship.kind.")]
         assert kind_counters, "per-kind counter missing"
+
+
+class TestReportDemo:
+    def test_demo_registry_mirrors_its_recorder(self):
+        from repro.obs.report import run_demo
+
+        _, registry, _, ctx = run_demo(transactions=5)
+        recorder = ctx.find_object("top.plb").recorder
+        assert recorder.count == 10
+        assert registry.get("trace.transactions").value == recorder.count
+        assert registry.get("trace.bytes").value == recorder.total_bytes
+        assert (registry.get("trace.latency_ns").count
+                == recorder.latency_stats().count)
+        kinds = {n for n in registry.names() if n.startswith("trace.kind.")}
+        assert kinds
+        assert sum(registry.get(n).value for n in kinds) == recorder.count
 
 
 class TestExploreObservability:

@@ -149,43 +149,6 @@ class TestTransactionRecorder:
         assert row["latency_ns"] == 5.0
 
 
-class TestLatencyHistogram:
-    def test_histogram_from_recorder(self):
-        from repro.trace import latency_histogram
-
-        rec = TransactionRecorder()
-        for i in range(1, 11):
-            rec.record("bus", "read", "cpu", "mem", ns(0), ns(i * 10))
-        hist = latency_histogram(rec, bins=10)
-        assert hist.total == 10
-        assert hist.underflow == 0 and hist.overflow == 0
-        assert hist.quantile(0.5) == pytest.approx(55.0, abs=10.0)
-
-    def test_kind_filter(self):
-        from repro.trace import latency_histogram
-
-        rec = TransactionRecorder()
-        rec.record("bus", "read", "cpu", "mem", ns(0), ns(10))
-        rec.record("bus", "write", "cpu", "mem", ns(0), ns(500))
-        hist = latency_histogram(rec, kind="read")
-        assert hist.total == 1
-
-    def test_empty_recorder_rejected(self):
-        from repro.trace import latency_histogram
-
-        with pytest.raises(ValueError, match="no records"):
-            latency_histogram(TransactionRecorder())
-
-    def test_constant_latency_degenerate_range(self):
-        from repro.trace import latency_histogram
-
-        rec = TransactionRecorder()
-        for _ in range(5):
-            rec.record("bus", "read", "cpu", "mem", ns(0), ns(42))
-        hist = latency_histogram(rec)
-        assert hist.total == 5
-
-
 class TestVcdValueKinds:
     def test_float_signal_dumped_as_real(self, ctx, top):
         stream = io.StringIO()
@@ -231,10 +194,11 @@ class TestRecorderStatsWithoutRecords:
         assert rec.records == []
 
     def test_metrics_accumulate_via_registry(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRegistry, watch_recorder
 
         registry = MetricsRegistry()
-        rec = TransactionRecorder(keep_records=False, metrics=registry)
+        rec = TransactionRecorder(keep_records=False)
+        watch_recorder(rec, registry)
         rec.record("c", "read", "a", "b", ns(0), ns(10), nbytes=8)
         rec.record("c", "read", "a", "b", ns(0), ns(20), nbytes=8)
         assert registry.get("trace.transactions").value == 2
@@ -244,10 +208,11 @@ class TestRecorderStatsWithoutRecords:
         assert hist.mean == pytest.approx(15.0)
 
     def test_metrics_prefix(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRegistry, watch_recorder
 
         registry = MetricsRegistry()
-        rec = TransactionRecorder(metrics=registry, metrics_prefix="ship")
+        rec = TransactionRecorder()
+        watch_recorder(rec, registry, prefix="ship")
         rec.record("c", "send", "a", "b", ns(0), ns(5))
         assert registry.get("ship.transactions").value == 1
 
