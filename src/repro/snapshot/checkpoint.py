@@ -95,8 +95,10 @@ class Checkpoint:
         }
         path = self.path_for(directory, self.digest)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True, separators=(",", ":"))
+        # One C-encoder pass: ``json.dump`` to a file takes the
+        # pure-Python encoder path, which costs more than the capture.
+        with open(tmp, "wb") as handle:
+            handle.write(_canonical(record))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

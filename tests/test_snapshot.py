@@ -9,6 +9,7 @@ instants), the content-addressed :class:`Checkpoint` file format with
 corruption detection, and :class:`FaultReplay` prefix reuse.
 """
 
+import hashlib
 import json
 import random
 
@@ -30,6 +31,11 @@ from repro.snapshot import (
     capture_state,
     checkpoint_digest,
     restore_state,
+)
+from repro.snapshot.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    SNAPSHOT_CODE_VERSION,
+    _canonical,
 )
 
 
@@ -387,6 +393,30 @@ class TestCheckpointFile:
         c3, t3, m3 = build_cam()
         c3.run(us(1000))
         assert fp_cam(c2, t2, m2) == fp_cam(c3, t3, m3)
+
+    def test_file_is_the_canonical_record(self, tmp_path):
+        """The file holds exactly the canonical record; load -> save
+        reproduces the same bytes."""
+        ck = self._capture()
+        path = ck.save(str(tmp_path / "a"))
+        body = _canonical(ck.snapshot)
+        record = {
+            "schema": CHECKPOINT_SCHEMA,
+            "digest": ck.digest,
+            "config_key": "cam-demo",
+            "sim_time_fs": ck.sim_time_fs,
+            "code_version": SNAPSHOT_CODE_VERSION,
+            "body_sha256": hashlib.sha256(body).hexdigest(),
+            "meta": {"k": "v"},
+            "snapshot": ck.snapshot,
+        }
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data == _canonical(record)
+        loaded = Checkpoint.load(str(tmp_path / "a"), ck.digest)
+        again = loaded.save(str(tmp_path / "b"))
+        with open(again, "rb") as handle:
+            assert handle.read() == data
 
     def test_digest_is_content_addressed(self):
         """Digest depends on config key and capture instant only."""
