@@ -221,9 +221,10 @@ class TrafficMaster(Module):
         span = spec.burst_length * spec.word_bytes
         if spec.pattern == "stream":
             addr = spec.base + self._stream_offset
-            self._stream_offset = (self._stream_offset + span) % (
-                spec.size - span + 1 if spec.size > span else 1
-            )
+            # Wrap to the region start once the next burst would not
+            # fit, so every burst starts on a multiple of its span.
+            offset = self._stream_offset + span
+            self._stream_offset = offset if offset + span <= spec.size else 0
             is_read = self._rng_rw.random() < spec.read_fraction
         elif spec.pattern == "random":
             slots = max((spec.size - span) // spec.word_bytes, 1)

@@ -111,6 +111,28 @@ class TestTrafficMaster:
         assert tm.errors == 0
 
 
+    @pytest.mark.parametrize("size, expected", [
+        (128, [0, 32, 64, 96, 0, 32, 64, 96, 0]),
+        (100, [0, 32, 64, 0, 32, 64, 0, 32, 64]),
+        (32, [0] * 9),
+    ])
+    def test_stream_wraps_to_aligned_offsets(self, ctx, top, size,
+                                             expected):
+        """A stream walks whole bursts and wraps to offset 0 once the
+        next burst would not fit: every offset is a multiple of the
+        burst span and lies within ``[0, size - span]``."""
+        spec = MasterTrafficSpec("m", pattern="stream", base=0x1000,
+                                 size=size, burst_length=8,
+                                 read_fraction=1.0, transactions=None)
+        tm = TrafficMaster("tm", top, socket=object(), spec=spec)
+        span = spec.burst_length * spec.word_bytes
+        offsets = [tm._next_request(i).addr - spec.base
+                   for i in range(len(expected))]
+        assert offsets == expected
+        assert all(o % span == 0 and 0 <= o <= size - span
+                   for o in offsets)
+
+
 class TestRngDrawEquivalence:
     """The traffic master draws with ``Random._randbelow(n)``; every
     pinned result assumes it yields exactly what ``randrange(n)`` does."""
