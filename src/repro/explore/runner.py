@@ -389,7 +389,7 @@ def _build_point(
     metrics=None,
     observer=None,
     faults: Optional[FaultSpec] = None,
-    rng_streams: bool = False,
+    rng_streams: bool = True,
     record_series: bool = False,
     boot: Optional[BootSpec] = None,
     include_measured: bool = True,
@@ -490,7 +490,7 @@ def run_point(
     metrics=None,
     observer=None,
     faults: Optional[FaultSpec] = None,
-    rng_streams: bool = False,
+    rng_streams: bool = True,
     record_series: bool = False,
     boot: Optional[BootSpec] = None,
     warm_snapshot: Optional[dict] = None,
@@ -590,7 +590,7 @@ def decode_payload(payload: dict) -> dict:
         "memory_read_wait": payload["memory_read_wait"],
         "memory_write_wait": payload["memory_write_wait"],
         # .get() keeps payloads from pre-stats callers decodable.
-        "rng_streams": payload.get("rng_streams", False),
+        "rng_streams": payload.get("rng_streams", True),
         "record_series": payload.get("record_series", False),
         "boot": (
             None if payload.get("boot") is None

@@ -167,7 +167,7 @@ class TrafficMaster(Module):
 
     def __init__(self, name, parent=None, ctx=None,
                  socket=None, spec: MasterTrafficSpec = None,
-                 seed: int = 1, rng_streams: bool = False,
+                 seed: int = 1, rng_streams: bool = True,
                  record_series: bool = False,
                  start_time: Optional[SimTime] = None):
         super().__init__(name, parent, ctx)

@@ -30,7 +30,7 @@ from repro.explore.workload import MasterTrafficSpec
 #: whenever a change to the kernel, the CAM models, or the traffic
 #: generator alters simulated results — every previously cached sweep
 #: result is then invalidated at once instead of silently served stale.
-CODE_VERSION = "sweep-1"
+CODE_VERSION = "sweep-2"
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class SweepPoint:
     #: per-(master, stream) RNG substreams — the CRN discipline of
     #: :mod:`repro.stats`; changes the traffic draw sequence, so it is
     #: part of the point's identity
-    rng_streams: bool = False
+    rng_streams: bool = True
     #: export per-transaction latency series on the result — changes
     #: the cached payload shape, so it is part of the identity too
     record_series: bool = False
@@ -174,7 +174,7 @@ class SweepPoint:
             faults=None if faults is None else FaultSpec.from_dict(faults),
             memory_read_wait=payload["memory_read_wait"],
             memory_write_wait=payload["memory_write_wait"],
-            rng_streams=payload.get("rng_streams", False),
+            rng_streams=payload.get("rng_streams", True),
             record_series=payload.get("record_series", False),
             boot=None if boot is None else BootSpec.from_dict(boot),
         )
