@@ -40,7 +40,7 @@ def build():
                       write_wait=1)
     bus.attach_slave(mem, spec.base, spec.size)
     tm = TrafficMaster("tm", top, socket=bus.master_socket(spec.name),
-                       spec=spec, seed=7, rng_streams=True)
+                       spec=spec, seed=7)
     return ctx, tm, mem
 
 

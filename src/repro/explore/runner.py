@@ -389,7 +389,6 @@ def _build_point(
     metrics=None,
     observer=None,
     faults: Optional[FaultSpec] = None,
-    rng_streams: bool = True,
     record_series: bool = False,
     boot: Optional[BootSpec] = None,
     include_measured: bool = True,
@@ -456,8 +455,7 @@ def _build_point(
             socket = fabric.master_socket(spec.name,
                                           priority=spec.priority)
             TrafficMaster(f"tm_{spec.name}", top, socket=socket,
-                          spec=_clamped_spec(spec, config), seed=seed,
-                          rng_streams=rng_streams)
+                          spec=_clamped_spec(spec, config), seed=seed)
     masters = []
     if include_measured:
         # Measured traffic starts one femtosecond past the boot
@@ -472,7 +470,6 @@ def _build_point(
             masters.append(
                 TrafficMaster(f"tm_{spec.name}", top, socket=socket,
                               spec=_clamped_spec(spec, config), seed=seed,
-                              rng_streams=rng_streams,
                               record_series=record_series,
                               start_time=start_time)
             )
@@ -490,7 +487,6 @@ def run_point(
     metrics=None,
     observer=None,
     faults: Optional[FaultSpec] = None,
-    rng_streams: bool = True,
     record_series: bool = False,
     boot: Optional[BootSpec] = None,
     warm_snapshot: Optional[dict] = None,
@@ -504,11 +500,9 @@ def run_point(
     slowing the rest of the sweep.  ``faults`` (a :class:`FaultSpec`)
     injects seeded bus errors, decode misses and memory bit flips into
     this point; the resulting ``repro.faults.FaultPlan`` rides back on
-    :attr:`ExplorationResult.fault_plan`.  ``rng_streams`` switches the
-    traffic masters to per-``(master, stream)`` RNG substreams (the
-    common-random-numbers discipline of :mod:`repro.stats`), and
-    ``record_series`` exports each master's per-transaction latency
-    series on its :class:`MasterMetrics` for steady-state estimation.
+    :attr:`ExplorationResult.fault_plan`.  ``record_series`` exports
+    each master's per-transaction latency series on its
+    :class:`MasterMetrics` for steady-state estimation.
 
     ``boot`` prepends a warm-up phase (see :class:`BootSpec`); the
     measured masters then start one femtosecond past the boot horizon.
@@ -522,7 +516,7 @@ def run_point(
     ctx, masters, fabric, fault_plan = _build_point(
         config, specs, seed, memory_read_wait, memory_write_wait,
         metrics=metrics, observer=observer, faults=faults,
-        rng_streams=rng_streams, record_series=record_series, boot=boot,
+        record_series=record_series, boot=boot,
     )
     if warm_snapshot is not None:
         restore_t0 = time.perf_counter()
@@ -590,7 +584,6 @@ def decode_payload(payload: dict) -> dict:
         "memory_read_wait": payload["memory_read_wait"],
         "memory_write_wait": payload["memory_write_wait"],
         # .get() keeps payloads from pre-stats callers decodable.
-        "rng_streams": payload.get("rng_streams", True),
         "record_series": payload.get("record_series", False),
         "boot": (
             None if payload.get("boot") is None
@@ -666,8 +659,7 @@ def materialize_boot_checkpoint(payload: dict, directory: str,
     ctx, _, _, fault_plan = _build_point(
         kwargs["config"], kwargs["specs"], kwargs["seed"],
         kwargs["memory_read_wait"], kwargs["memory_write_wait"],
-        faults=kwargs["faults"], rng_streams=kwargs["rng_streams"],
-        boot=boot, include_measured=False,
+        faults=kwargs["faults"], boot=boot, include_measured=False,
     )
     ctx.run(boot.until)
     unfinished = [

@@ -47,10 +47,12 @@ def _rng_from_json(payload) -> tuple:
 def substream_seed(seed: int, master: str, stream: str) -> str:
     """Canonical seed string of one ``(master, stream)`` RNG substream.
 
-    String seeds are stable across interpreter processes (tuple hashes
-    are not — see :class:`TrafficMaster`); the exact format is a
-    compatibility contract pinned by tests, like ``cache_key()``:
-    changing it changes every substream-seeded simulation result.
+    Seed with a string, not a tuple hash: str/bytes seeding is stable
+    across interpreter processes, while ``tuple.__hash__`` includes the
+    PYTHONHASHSEED-salted string hash and silently breaks cross-process
+    reproducibility.  The exact format is a compatibility contract
+    pinned by tests, like ``cache_key()``: changing it changes every
+    simulated traffic draw.
     """
     if stream not in SUBSTREAMS:
         raise ValueError(
@@ -155,19 +157,17 @@ class MasterTrafficSpec:
 class TrafficMaster(Module):
     """Drives one blocking-transport socket with generated traffic.
 
-    ``rng_streams=True`` gives every decision kind its own RNG
-    substream seeded by :func:`substream_seed` — the common-random-
-    numbers discipline paired design-point comparisons rely on.  Off
-    (the default), all decisions share one RNG exactly as before, so
-    existing seeds reproduce byte-identical traffic.
-    ``record_series=True`` additionally stores the per-transaction
-    latency series (ns floats, completion order) for steady-state
-    estimation in :mod:`repro.stats`.
+    Every decision kind draws from its own RNG substream seeded by
+    :func:`substream_seed` — the common-random-numbers discipline
+    paired design-point comparisons rely on.  ``record_series=True``
+    additionally stores the per-transaction latency series (ns floats,
+    completion order) for steady-state estimation in
+    :mod:`repro.stats`.
     """
 
     def __init__(self, name, parent=None, ctx=None,
                  socket=None, spec: MasterTrafficSpec = None,
-                 seed: int = 1, rng_streams: bool = True,
+                 seed: int = 1,
                  record_series: bool = False,
                  start_time: Optional[SimTime] = None):
         super().__init__(name, parent, ctx)
@@ -177,27 +177,13 @@ class TrafficMaster(Module):
             )
         self.socket = socket
         self.spec = spec
-        # Seed with a string, not a tuple hash: str/bytes seeding is
-        # stable across interpreter processes, while tuple.__hash__
-        # includes the PYTHONHASHSEED-salted string hash and silently
-        # broke cross-process reproducibility.
-        self.rng = random.Random(f"{seed}:{spec.name}")
-        if rng_streams:
-            self._rng_addr = random.Random(
-                substream_seed(seed, spec.name, "addr"))
-            self._rng_rw = random.Random(
-                substream_seed(seed, spec.name, "rw"))
-            self._rng_gap = random.Random(
-                substream_seed(seed, spec.name, "gap"))
-            self._rng_data = random.Random(
-                substream_seed(seed, spec.name, "data"))
-        else:
-            # All four names alias the one shared RNG: the draw order
-            # is unchanged from the pre-substream implementation, so
-            # default-mode results stay byte-identical.
-            self._rng_addr = self._rng_rw = self.rng
-            self._rng_gap = self._rng_data = self.rng
-        self.rng_streams = rng_streams
+        self._rng_addr = random.Random(
+            substream_seed(seed, spec.name, "addr"))
+        self._rng_rw = random.Random(substream_seed(seed, spec.name, "rw"))
+        self._rng_gap = random.Random(
+            substream_seed(seed, spec.name, "gap"))
+        self._rng_data = random.Random(
+            substream_seed(seed, spec.name, "data"))
         self.latency = TimeStats()
         self.latency_series = [] if record_series else None
         self.bytes_done = 0
@@ -294,7 +280,6 @@ class TrafficMaster(Module):
 
     def __snapshot__(self) -> dict:
         state = {
-            "rng": _rng_json(self.rng),
             "latency": self.latency.__snapshot__(),
             "latency_series": (
                 list(self.latency_series)
@@ -308,7 +293,9 @@ class TrafficMaster(Module):
             "index": self._index,
             "pending_gap_fs": self._pending_gap_fs,
         }
-        if self.rng_streams:
+        # A finished master never draws again: its RNG state is dead
+        # weight in every checkpoint (boot masters are always finished).
+        if not self.done:
             state["streams"] = {
                 name: _rng_json(getattr(self, f"_rng_{name}"))
                 for name in SUBSTREAMS
@@ -316,11 +303,6 @@ class TrafficMaster(Module):
         return state
 
     def __restore__(self, state: dict) -> None:
-        self.rng.setstate(_rng_from_json(state["rng"]))
-        if self.rng_streams and "streams" in state:
-            for name, payload in state["streams"].items():
-                getattr(self, f"_rng_{name}").setstate(
-                    _rng_from_json(payload))
         self.latency.__restore__(state["latency"])
         if state["latency_series"] is None:
             self.latency_series = None
@@ -333,6 +315,17 @@ class TrafficMaster(Module):
         self._stream_offset = state["stream_offset"]
         self._index = state["index"]
         self._pending_gap_fs = state["pending_gap_fs"]
+        if "streams" in state:
+            for name, payload in state["streams"].items():
+                getattr(self, f"_rng_{name}").setstate(
+                    _rng_from_json(payload))
+        elif not self.done:
+            from repro.snapshot.state import SnapshotError
+
+            raise SnapshotError(
+                f"traffic master {self.full_name!r} is unfinished but its "
+                "state has no RNG streams"
+            )
 
     @property
     def done(self) -> bool:

@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional
 
 from repro.snapshot.state import SNAPSHOT_SCHEMA, SnapshotError
 
-SNAPSHOT_CODE_VERSION = "snapshot-1"
+SNAPSHOT_CODE_VERSION = "snapshot-2"
 
 CHECKPOINT_SCHEMA = 1
 

@@ -13,11 +13,12 @@ the independent-seeds interval at the same replicate count, which is
 exactly what the estimator self-tests and the benchmark's
 ``crn_variance_ratio`` record measure.
 
-The substream discipline matters: replicate points run with
-``rng_streams=True``, so a config that consumes fewer draws of one
-kind (say, clamped bursts drawing fewer payload words) does not
-desynchronize every later address and gap draw — without per-stream
-RNGs, "common" random numbers silently stop being common.
+The substream discipline matters: every traffic master draws each
+decision kind from its own ``(master, stream)`` RNG substream, so a
+config that consumes fewer draws of one kind (say, clamped bursts
+drawing fewer payload words) does not desynchronize every later
+address and gap draw — with one shared RNG, "common" random numbers
+would silently stop being common.
 """
 
 from __future__ import annotations

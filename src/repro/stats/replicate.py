@@ -187,8 +187,7 @@ class ReplicatedRunner:
     parallelize on the engine's warm workers and individual replicate
     results land in the engine's content-addressed store (a resumed
     sweep replays them for free).  Replicate points differ from the
-    base point only in their derived seed and in ``rng_streams=True``
-    (the substream discipline CRN comparisons need).
+    base point only in their derived seed.
 
     Metrics (optional :class:`repro.obs.MetricsRegistry`) appear under
     ``stats.*``: replicate counts, early-stop outcomes, and the latest
@@ -216,10 +215,7 @@ class ReplicatedRunner:
         """
         base_key = point.key() if base is None else base
         return dataclasses.replace(
-            point,
-            seed=replicate_seed(base_key, replicate),
-            rng_streams=True,
-        )
+            point, seed=replicate_seed(base_key, replicate))
 
     def run(self, points: Sequence[SweepPoint],
             objective: str = "mean_latency_ns",

@@ -186,7 +186,6 @@ def _compute_payload(payload: dict) -> dict:
         memory_read_wait=point.memory_read_wait,
         memory_write_wait=point.memory_write_wait,
         faults=point.faults,
-        rng_streams=point.rng_streams,
         record_series=point.record_series,
         boot=point.boot,
     )

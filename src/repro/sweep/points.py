@@ -45,10 +45,6 @@ class SweepPoint:
     faults: Optional[FaultSpec] = None
     memory_read_wait: int = 1
     memory_write_wait: int = 1
-    #: per-(master, stream) RNG substreams — the CRN discipline of
-    #: :mod:`repro.stats`; changes the traffic draw sequence, so it is
-    #: part of the point's identity
-    rng_streams: bool = True
     #: export per-transaction latency series on the result — changes
     #: the cached payload shape, so it is part of the identity too
     record_series: bool = False
@@ -87,7 +83,6 @@ class SweepPoint:
             else self.faults.to_dict(),
             "memory_read_wait": self.memory_read_wait,
             "memory_write_wait": self.memory_write_wait,
-            "rng_streams": self.rng_streams,
             "record_series": self.record_series,
         }
 
@@ -120,7 +115,6 @@ class SweepPoint:
             else self.faults.to_dict(),
             "memory_read_wait": self.memory_read_wait,
             "memory_write_wait": self.memory_write_wait,
-            "rng_streams": self.rng_streams,
             "record_series": self.record_series,
         }
         if self.boot is not None:
@@ -134,11 +128,11 @@ class SweepPoint:
         up to the boot horizon, so one boot checkpoint warm-starts all
         of them.  The key hashes exactly the facts the boot phase
         depends on: code version, the architecture's behavioural
-        ``cache_key``, the boot workload, seed and RNG discipline, the
-        fault spec (fault RNG draws happen during boot too), memory
-        wait states, and the point's full region footprint — measured
-        regions shape the memory roster the boot context is built with,
-        so two points with different regions never share a checkpoint.
+        ``cache_key``, the boot workload, seed, the fault spec (fault
+        RNG draws happen during boot too), memory wait states, and the
+        point's full region footprint — measured regions shape the
+        memory roster the boot context is built with, so two points
+        with different regions never share a checkpoint.
         """
         if self.boot is None:
             return None
@@ -151,7 +145,6 @@ class SweepPoint:
             else self.faults.to_dict(),
             "memory_read_wait": self.memory_read_wait,
             "memory_write_wait": self.memory_write_wait,
-            "rng_streams": self.rng_streams,
             "regions": point_regions(self.specs, self.boot),
         }
         text = json.dumps(identity, sort_keys=True,
@@ -174,7 +167,6 @@ class SweepPoint:
             faults=None if faults is None else FaultSpec.from_dict(faults),
             memory_read_wait=payload["memory_read_wait"],
             memory_write_wait=payload["memory_write_wait"],
-            rng_streams=payload.get("rng_streams", True),
             record_series=payload.get("record_series", False),
             boot=None if boot is None else BootSpec.from_dict(boot),
         )

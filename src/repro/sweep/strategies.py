@@ -154,7 +154,6 @@ class SuccessiveHalving:
                 max_sim_time=p.max_sim_time, seed=p.seed, faults=p.faults,
                 memory_read_wait=p.memory_read_wait,
                 memory_write_wait=p.memory_write_wait,
-                rng_streams=p.rng_streams,
                 record_series=p.record_series,
                 boot=p.boot,
             )

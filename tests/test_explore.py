@@ -133,6 +133,23 @@ class TestTrafficMaster:
                    for o in offsets)
 
 
+    def test_burst_length_leaves_gap_and_rw_draws_alone(self, ctx, top):
+        """Common random numbers: the same seed and master name give the
+        same gap and read/write draws whatever the burst length, even
+        though longer write bursts draw more payload words."""
+        def draws(module, burst_length):
+            spec = MasterTrafficSpec("m", pattern="random",
+                                     burst_length=burst_length,
+                                     read_fraction=0.5, gap=ns(50),
+                                     transactions=None)
+            tm = TrafficMaster(module, top, socket=object(), spec=spec,
+                               seed=3)
+            return [(tm._gap_fs(), tm._next_request(i).cmd)
+                    for i in range(60)]
+
+        assert draws("long", 4) == draws("short", 1)
+
+
 class TestRngDrawEquivalence:
     """The traffic master draws with ``Random._randbelow(n)``; every
     pinned result assumes it yields exactly what ``randrange(n)`` does."""

@@ -52,7 +52,7 @@ def build_cam(transactions=60, seed=7):
                       write_wait=1)
     bus.attach_slave(mem, spec.base, spec.size)
     tm = TrafficMaster("tm", top, socket=bus.master_socket(spec.name),
-                       spec=spec, seed=seed, rng_streams=True)
+                       spec=spec, seed=seed)
     return ctx, tm, mem
 
 
@@ -76,7 +76,7 @@ def build_rtl():
     spec = MasterTrafficSpec("m", pattern="random", transactions=40,
                              gap=ns(70))
     tm = TrafficMaster("tm", top, socket=core.master_port(spec.name),
-                       spec=spec, seed=11, rng_streams=True)
+                       spec=spec, seed=11)
     return ctx, tm, mem, core
 
 
@@ -171,7 +171,7 @@ def build_faulty():
     MemoryFaultInjector("seu", top, memory=mem, plan=plan,
                         period=us(1))
     tm = TrafficMaster("tm", top, socket=bus.master_socket(spec.name),
-                       spec=spec, seed=5, rng_streams=True)
+                       spec=spec, seed=5)
     return ctx, tm, mem, plan
 
 
@@ -244,6 +244,35 @@ class TestCamRoundTrip:
         c3, t3, m3 = build_cam()
         c3.run(us(1000))
         assert fp_cam(c2, t2, m2) == fp_cam(c3, t3, m3)
+
+
+class TestTrafficMasterState:
+    def test_finished_master_drops_its_rng_streams(self):
+        """A finished master never draws again, so its snapshot carries
+        no RNG state; capture -> restore -> capture is unchanged."""
+        ctx, tm, mem = build_cam()
+        ctx.run(us(1000))
+        assert tm.done
+        assert "streams" not in tm.__snapshot__()
+        snap = ctx.checkpoint()
+        c2, t2, m2 = build_cam()
+        c2.resume(snap)
+        assert c2.checkpoint()["objects"] == snap["objects"]
+
+    def test_unfinished_master_keeps_its_rng_streams(self):
+        ctx, tm, mem = build_cam()
+        state = tm.__snapshot__()
+        assert not tm.done
+        assert set(state["streams"]) == {"addr", "rw", "gap", "data"}
+
+    def test_unfinished_master_without_streams_refused(self):
+        """Restoring an unfinished master needs its RNG streams."""
+        ctx, tm, mem = build_cam()
+        state = tm.__snapshot__()
+        del state["streams"]
+        c2, t2, m2 = build_cam()
+        with pytest.raises(SnapshotError, match="RNG streams"):
+            t2.__restore__(state)
 
 
 class TestRtlRoundTrip:

@@ -389,7 +389,6 @@ class TestReplicatedRunner:
         (outcome,) = runner.run([point])
         for r, rep in enumerate(outcome.outcomes):
             assert rep.point.seed == replicate_seed(point.key(), r)
-            assert rep.point.rng_streams
         assert outcome.key == point.key()
 
     def test_sequential_stopping_stops_early(self):
