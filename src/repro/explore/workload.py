@@ -177,13 +177,10 @@ class TrafficMaster(Module):
             )
         self.socket = socket
         self.spec = spec
-        self._rng_addr = random.Random(
-            substream_seed(seed, spec.name, "addr"))
-        self._rng_rw = random.Random(substream_seed(seed, spec.name, "rw"))
-        self._rng_gap = random.Random(
-            substream_seed(seed, spec.name, "gap"))
-        self._rng_data = random.Random(
-            substream_seed(seed, spec.name, "data"))
+        self._rng_addr, self._rng_rw, self._rng_gap, self._rng_data = (
+            random.Random(substream_seed(seed, spec.name, stream))
+            for stream in SUBSTREAMS
+        )
         self.latency = TimeStats()
         self.latency_series = [] if record_series else None
         self.bytes_done = 0
