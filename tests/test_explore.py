@@ -110,7 +110,6 @@ class TestTrafficMaster:
         assert tm.completed == 10
         assert tm.errors == 0
 
-
     @pytest.mark.parametrize("size, expected", [
         (128, [0, 32, 64, 96, 0, 32, 64, 96, 0]),
         (100, [0, 32, 64, 0, 32, 64, 0, 32, 64]),
@@ -131,7 +130,6 @@ class TestTrafficMaster:
         assert offsets == expected
         assert all(o % span == 0 and 0 <= o <= size - span
                    for o in offsets)
-
 
     def test_burst_length_leaves_gap_and_rw_draws_alone(self, ctx, top):
         """Common random numbers: the same seed and master name give the
