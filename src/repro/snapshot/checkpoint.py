@@ -95,8 +95,8 @@ class Checkpoint:
         }
         path = self.path_for(directory, self.digest)
         tmp = f"{path}.tmp.{os.getpid()}"
-        # One C-encoder pass: ``json.dump`` to a file takes the
-        # pure-Python encoder path, which costs more than the capture.
+        # One C-encoder pass: ``json.dump`` to a file would re-encode
+        # the record on the slower pure-Python encoder path.
         with open(tmp, "wb") as handle:
             handle.write(_canonical(record))
             handle.flush()
