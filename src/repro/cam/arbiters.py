@@ -45,6 +45,8 @@ class StaticPriorityArbiter(Arbiter):
     name = "static-priority"
 
     def pick(self, pending: Sequence, cycle: int):
+        if len(pending) == 1:
+            return pending[0]
         return min(pending, key=lambda r: (r.priority, r.seq))
 
 
@@ -66,12 +68,17 @@ class RoundRobinArbiter(Arbiter):
         return (idx - self._next_index) % len(self._order)
 
     def pick(self, pending: Sequence, cycle: int):
-        chosen = min(
-            pending, key=lambda r: (self._master_rank(r.master), r.seq)
-        )
-        self._next_index = (self._order.index(chosen.master) + 1) % max(
-            len(self._order), 1
-        )
+        if len(pending) == 1:
+            chosen = pending[0]
+            if chosen.master not in self._order:
+                self._order.append(chosen.master)
+        else:
+            chosen = min(
+                pending, key=lambda r: (self._master_rank(r.master), r.seq)
+            )
+        # The chosen master is in _order now, so it is not empty.
+        self._next_index = ((self._order.index(chosen.master) + 1)
+                            % len(self._order))
         return chosen
 
     def reset(self) -> None:
@@ -117,6 +124,8 @@ class TdmaArbiter(Arbiter):
     def pick(self, pending: Sequence, cycle: int):
         owner = self.slot_owner(cycle)
         owned = [r for r in pending if r.master == owner]
+        if len(owned) == 1:
+            return owned[0]
         if owned:
             return min(owned, key=lambda r: r.seq)
         if self.strict:

@@ -30,8 +30,8 @@ separate read/write data buses).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Generator, Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.kernel.errors import ElaborationError, SimulationError
 from repro.kernel.event import Event
@@ -39,7 +39,7 @@ from repro.kernel.module import Module
 from repro.kernel.object import SimObject
 from repro.kernel.simtime import FS_PER_NS, SimTime, ZERO_TIME, ns
 from repro.ocp.tl import OcpTargetIf
-from repro.ocp.types import OcpRequest, OcpResponse
+from repro.ocp.types import OcpRequest, OcpResp, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
 from repro.trace.stats import TimeStats
 from repro.trace.transaction import TransactionRecorder
@@ -77,6 +77,18 @@ class SlaveBinding:
     read_wait: Optional[int] = None
     write_wait: Optional[int] = None
     localize: bool = True
+    #: True when the slave offers zero-time ``access``.
+    is_functional: bool = field(init=False, repr=False, compare=False)
+    #: The slave's own ``wait_states`` method, or None.
+    _target_waits: Optional[Callable[[OcpRequest], int]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Decided once per binding, not per transaction.  The getter is
+        # the slave's bound method, so it still reads the slave's
+        # current wait states when they change after attach.
+        self.is_functional = hasattr(self.target, "access")
+        self._target_waits = getattr(self.target, "wait_states", None)
 
     @property
     def end(self) -> int:
@@ -94,7 +106,7 @@ class SlaveBinding:
         )
         if override is not None:
             return override
-        getter = getattr(self.target, "wait_states", None)
+        getter = self._target_waits
         return getter(request) if getter is not None else 0
 
     def localized(self, request: OcpRequest) -> OcpRequest:
@@ -106,11 +118,6 @@ class SlaveBinding:
         if not self.localize or self.base == 0:
             return request
         return request.relocated(request.addr - self.base)
-
-    @property
-    def is_functional(self) -> bool:
-        """True when the slave offers zero-time ``access``."""
-        return hasattr(self.target, "access")
 
 
 class _BusTransaction:
@@ -168,7 +175,11 @@ class _MasterSocket(SimObject, OcpTargetIf):
             done = Event(self, f"{self.full_name}.done")
         else:
             self._free_done = None
-        txn = self.bus._submit(request, self.name, self.priority, done)
+        bus = self.bus
+        txn = _BusTransaction(request, self.name, self.priority,
+                              next(bus._seq), bus.ctx._now_fs, done)
+        bus._pending.append(txn)
+        bus._request_event.notify()
         while txn.response is None:
             yield done
         # The notification that woke us was the event's only one.
@@ -395,8 +406,10 @@ class BusCam(Module):
 
     def decode(self, addr: int, nbytes: int) -> Optional[SlaveBinding]:
         """Address decode; the whole burst must fit one region."""
+        end = addr + nbytes
         for binding in self.slaves:
-            if binding.contains(addr, nbytes):
+            base = binding.base  # SlaveBinding.contains, inline
+            if base <= addr and end <= base + binding.size:
                 return binding
         return None
 
@@ -404,32 +417,20 @@ class BusCam(Module):
 
     def data_cycles(self, request: OcpRequest,
                     binding: SlaveBinding) -> int:
-        """Data-phase cycle count for one transaction."""
+        """Data-phase cycle count for one transaction.
+
+        The bus process computes this inline for fabrics that do not
+        override it.
+        """
         return (
             binding.wait_states(request)
             + request.burst_length * self.timing.cycles_per_beat
         )
 
-    def channel_of(self, request: OcpRequest) -> str:
-        """Which data channel carries this request."""
-        if self.timing.split_rw:
-            return "read" if request.cmd.is_read else "write"
-        return "data"
-
     @property
     def current_cycle(self) -> int:
         """Bus cycle number at the current time."""
         return self.ctx._now_fs // self.clock_period._fs
-
-    # -- master-side submission -------------------------------------------------------
-
-    def _submit(self, request: OcpRequest, master: str, priority: int,
-                done: Event) -> _BusTransaction:
-        txn = _BusTransaction(request, master, priority, next(self._seq),
-                              self.ctx._now_fs, done)
-        self._pending.append(txn)
-        self._request_event.notify()
-        return txn
 
     # -- the bus process ------------------------------------------------------------------
 
@@ -437,9 +438,21 @@ class BusCam(Module):
         ctx = self.ctx
         period = self.clock_period
         period_fs = period._fs
-        cmd_cycles = self.timing.cmd_cycles
+        timing = self.timing
+        cmd_cycles = timing.cmd_cycles
         cmd_wait = period * cmd_cycles
-        pipelined = self.timing.pipelined
+        cycles_per_beat = timing.cycles_per_beat
+        pipelined = timing.pipelined
+        # The data channels that carry reads and writes.
+        read_channel, write_channel = (
+            ("read", "write") if timing.split_rw else ("data", "data"))
+        # A fabric that overrides data_cycles is asked per transaction;
+        # for the others it is computed inline below.
+        custom_cycles = (
+            self.data_cycles
+            if type(self).data_cycles is not BusCam.data_cycles else None
+        )
+        channel_free = self._channel_free
         pending = self._pending
         while True:
             while not pending:
@@ -467,92 +480,91 @@ class BusCam(Module):
                     self._m_contended.inc(len(pending) - 1)
             pending.remove(txn)
             request = txn.request
+            nbytes = request.burst_length * request.word_bytes
             if inj is not None and inj.force_error(self, request):
                 yield cmd_wait
-                self._complete(txn, OcpResponse.error(), 0, "fault-injected")
+                self._complete(txn, OcpResponse.error(), nbytes, 0,
+                               "fault-injected")
                 continue
-            binding = self.decode(request.addr, request.nbytes)
+            binding = self.decode(request.addr, nbytes)
             if (binding is not None and inj is not None
                     and inj.decode_miss(self, request)):
                 binding = None
             if binding is None:
                 yield cmd_wait
-                self._complete(txn, OcpResponse.error(), 0, "decode-error")
+                self._complete(txn, OcpResponse.error(), nbytes, 0,
+                               "decode-error")
                 continue
+            channel = read_channel if request.cmd.is_read else write_channel
             if not binding.is_functional:
-                yield from self._run_transported(txn, binding)
+                yield from self._run_transported(txn, binding, nbytes,
+                                                 channel)
                 continue
-            data_cycles = self.data_cycles(request, binding)
-            channel = self.channel_of(request)
+            if custom_cycles is None:
+                data_cycles = (binding.wait_states(request)
+                               + request.burst_length * cycles_per_beat)
+            else:
+                data_cycles = custom_cycles(request, binding)
             if pipelined:
                 # Command phase on the shared path; the data phase
                 # overlaps the next command phase.
                 yield cmd_wait
-                self._start_data_phase(txn, binding, data_cycles, channel)
             else:
-                yield period * (cmd_cycles + data_cycles)
-                response = self._functional_access(binding, request)
-                self._complete(txn, response, data_cycles, channel)
+                yield SimTime._from_fs(period_fs * (cmd_cycles + data_cycles))
+            try:
+                response = binding.target.access(binding.localized(request))
+            except Exception:
+                ctx.reporter.error(
+                    "bus",
+                    f"slave {binding.name!r} raised during access to "
+                    f"{request!r}",
+                    time_str=str(ctx.now),
+                )
+                response = OcpResponse.error()
+            txn.response = response
+            end_fs = ctx._now_fs
+            if not pipelined:
+                txn.done.notify()
+            else:
+                # Queue the data phase on its channel, after the phases
+                # already queued there; the bus arbitrates again at once
+                # while it drains.
+                now_fs = end_fs
+                start_fs = channel_free.get(channel, 0)
+                if start_fs < now_fs:
+                    start_fs = now_fs
+                end_fs = start_fs + period_fs * data_cycles
+                channel_free[channel] = end_fs
+                if end_fs == now_fs:
+                    txn.done.notify_delta()
+                else:
+                    txn.done._notify_at_fs(end_fs)
+            self._account(txn, response.resp is OcpResp.DVA, nbytes, end_fs,
+                          data_cycles, channel)
 
-    def _start_data_phase(self, txn: _BusTransaction, binding: SlaveBinding,
-                          data_cycles: int, channel: str) -> None:
-        """Queue a pipelined data phase on its channel, after the phases
-        already queued there; the bus process arbitrates again at once
-        while it drains."""
-        now_fs = self.ctx._now_fs
-        start_fs = self._channel_free.get(channel, 0)
-        if start_fs < now_fs:
-            start_fs = now_fs
-        end_fs = start_fs + self.clock_period._fs * data_cycles
-        self._channel_free[channel] = end_fs
-        response = self._functional_access(binding, txn.request)
-        txn.response = response
-        if end_fs == now_fs:
-            txn.done.notify_delta()
-        else:
-            txn.done._notify_at_fs(end_fs)
-        self._account(txn, response, end_fs, data_cycles, channel)
-
-    def _run_transported(self, txn: _BusTransaction,
-                         binding: SlaveBinding) -> Generator:
+    def _run_transported(self, txn: _BusTransaction, binding: SlaveBinding,
+                         nbytes: int, channel: str) -> Generator:
         period = self.clock_period
-        timing = self.timing
-        request = txn.request
-        channel = self.channel_of(request)
-        yield period * timing.cmd_cycles
+        yield period * self.timing.cmd_cycles
         start = self.ctx.now
         response = yield from binding.target.transport(
-            binding.localized(request)
+            binding.localized(txn.request)
         )
         busy = (self.ctx.now - start) // period
-        self._complete(txn, response, int(busy), channel)
-
-    def _functional_access(self, binding: SlaveBinding,
-                           request: OcpRequest) -> OcpResponse:
-        try:
-            return binding.target.access(binding.localized(request))
-        except Exception:
-            self.ctx.reporter.error(
-                "bus",
-                f"slave {binding.name!r} raised during access to "
-                f"{request!r}",
-                time_str=str(self.ctx.now),
-            )
-            return OcpResponse.error()
+        self._complete(txn, response, nbytes, int(busy), channel)
 
     # -- completion & accounting ----------------------------------------------------------
 
     def _complete(self, txn: _BusTransaction, response: OcpResponse,
-                  data_cycles: int, channel: str) -> None:
+                  nbytes: int, data_cycles: int, channel: str) -> None:
         txn.response = response
         txn.done.notify()
-        self._account(txn, response, self.ctx._now_fs, data_cycles, channel)
+        self._account(txn, response.ok, nbytes, self.ctx._now_fs,
+                      data_cycles, channel)
 
-    def _account(self, txn: _BusTransaction, response: OcpResponse,
+    def _account(self, txn: _BusTransaction, ok: bool, nbytes: int,
                  end_fs: int, data_cycles: int, channel: str) -> None:
         latency_fs = end_fs - txn.arrival_fs
-        nbytes = txn.request.nbytes
-        ok = response.ok
         self.stats.record(txn.master, latency_fs, nbytes, ok, data_cycles,
                           channel)
         if self._m_grants is not None:
@@ -617,7 +629,8 @@ class BusCam(Module):
         self.stats.__restore__(state["stats"])
         self._seq = itertools.count(state["next_seq"])
         self.arbiter.restore_state(state["arbiter"])
-        self._channel_free = dict(state["channel_free"])
+        self._channel_free.clear()
+        self._channel_free.update(state["channel_free"])
         for name, priority in state["sockets"]:
             self.master_socket(name, priority)
         payload = state.get("fault_injector")

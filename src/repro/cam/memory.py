@@ -90,22 +90,26 @@ class MemorySlave(SimObject, OcpTargetIf):
 
     # -- functional access (zero simulated time) -----------------------------------
 
-    def _beat_indices(self, request: OcpRequest):
-        """Storage index of every beat of ``request``, in beat order."""
-        word_bytes = self.word_bytes
-        if (request.burst_seq is BurstSeq.INCR
-                and request.word_bytes == word_bytes):
-            # (addr + beat * word_bytes) // word_bytes, beat by beat
-            first = request.addr // word_bytes
-            return range(first, first + request.burst_length)
-        return [request.beat_address(beat) // word_bytes
-                for beat in range(request.burst_length)]
-
     def access(self, request: OcpRequest) -> OcpResponse:
         """Zero-time functional access; bounds-checked."""
-        last = request.beat_address(request.burst_length - 1)
-        if not (0 <= request.addr and last + self.word_bytes <= self.size):
+        addr = request.addr
+        burst = request.burst_length
+        word_bytes = self.word_bytes
+        incr = request.burst_seq is BurstSeq.INCR
+        if incr:
+            last = addr + (burst - 1) * request.word_bytes
+        else:
+            last = request.beat_address(burst - 1)
+        if not (0 <= addr and last + word_bytes <= self.size):
             return OcpResponse.error()
+        # Storage index of every beat, in beat order.
+        if incr and request.word_bytes == word_bytes:
+            # (addr + beat * word_bytes) // word_bytes, beat by beat
+            first = addr // word_bytes
+            indices = range(first, first + burst)
+        else:
+            indices = [request.beat_address(beat) // word_bytes
+                       for beat in range(burst)]
         words = self._words
         if request.cmd.is_write:
             if self.readonly:
@@ -113,14 +117,14 @@ class MemorySlave(SimObject, OcpTargetIf):
             data = request.data
             mask = self._word_mask
             byte_en = request.byte_en
-            for beat, index in enumerate(self._beat_indices(request)):
+            for beat, index in enumerate(indices):
                 value = data[beat] & mask
                 if byte_en is not None:
                     value = self._merge_bytes(index, value, byte_en)
                 words[index] = value
             self.writes += 1
             return OcpResponse(OcpResp.DVA)
-        data = [words.get(index, 0) for index in self._beat_indices(request)]
+        data = [words.get(index, 0) for index in indices]
         self.reads += 1
         return OcpResponse(OcpResp.DVA, data)
 

@@ -15,8 +15,8 @@ from typing import Generator, Optional
 
 from repro.kernel.errors import SimulationError
 from repro.kernel.module import Module
-from repro.kernel.simtime import FS_PER_NS, SimTime, ZERO_TIME, ns
-from repro.ocp.types import OcpCmd, OcpRequest
+from repro.kernel.simtime import FS_PER_NS, SimTime, ns
+from repro.ocp.types import OcpCmd, OcpRequest, OcpResp
 from repro.trace.stats import TimeStats
 
 #: Supported traffic patterns.
@@ -59,6 +59,30 @@ def substream_seed(seed: int, master: str, stream: str) -> str:
             f"unknown substream {stream!r}; expected one of {SUBSTREAMS}"
         )
     return f"{seed}:{master}:{stream}"
+
+
+class _Substream:
+    """One ``(master, stream)`` RNG of a :class:`TrafficMaster`, seeded
+    on first use.
+
+    String seeding (a SHA-512 of the seed, then a Mersenne Twister
+    fill) is not free, and a boot master that a warm start restores as
+    finished never draws, so it never seeds a stream.  The first read
+    stores the generator in the instance dict, where later reads find
+    it without calling back here (a non-data descriptor).
+    """
+
+    def __set_name__(self, owner, attr: str) -> None:
+        self.attr = attr
+        self.stream = attr[len("_rng_"):]
+
+    def __get__(self, master, owner=None):
+        if master is None:
+            return self
+        rng = random.Random(
+            substream_seed(master._seed, master.spec.name, self.stream))
+        master.__dict__[self.attr] = rng
+        return rng
 
 
 @dataclass
@@ -165,6 +189,11 @@ class TrafficMaster(Module):
     :mod:`repro.stats`.
     """
 
+    _rng_addr = _Substream()
+    _rng_rw = _Substream()
+    _rng_gap = _Substream()
+    _rng_data = _Substream()
+
     def __init__(self, name, parent=None, ctx=None,
                  socket=None, spec: MasterTrafficSpec = None,
                  seed: int = 1,
@@ -177,16 +206,13 @@ class TrafficMaster(Module):
             )
         self.socket = socket
         self.spec = spec
-        self._rng_addr, self._rng_rw, self._rng_gap, self._rng_data = (
-            random.Random(substream_seed(seed, spec.name, stream))
-            for stream in SUBSTREAMS
-        )
+        self._seed = seed
         self.latency = TimeStats()
         self.latency_series = [] if record_series else None
         self.bytes_done = 0
         self.completed = 0
         self.errors = 0
-        self.last_done: SimTime = ZERO_TIME
+        self._last_done_fs = 0
         self.start_time = start_time
         self._stream_offset = 0
         self._index = 0
@@ -210,24 +236,23 @@ class TrafficMaster(Module):
             self._stream_offset = offset if offset + span <= spec.size else 0
             is_read = self._rng_rw.random() < spec.read_fraction
         elif spec.pattern == "random":
-            slots = max((spec.size - span) // spec.word_bytes, 1)
+            slots = (spec.size - span) // spec.word_bytes
+            if slots < 1:
+                slots = 1
             addr = (spec.base
                     + self._rng_addr._randbelow(slots) * spec.word_bytes)
             is_read = self._rng_rw.random() < spec.read_fraction
         else:  # pingpong
             addr = spec.base
             is_read = bool(index % 2)
+        # The spec was validated once, so requests skip re-validation.
         if is_read:
-            return OcpRequest(
-                OcpCmd.RD, addr, burst_length=spec.burst_length,
-                word_bytes=spec.word_bytes,
-            )
+            return OcpRequest.trusted(OcpCmd.RD, addr, [],
+                                      spec.burst_length, spec.word_bytes)
         draw = self._rng_data._randbelow
         data = [draw(1 << 32) for _ in range(spec.burst_length)]
-        return OcpRequest(
-            OcpCmd.WR, addr, data=data, burst_length=spec.burst_length,
-            word_bytes=spec.word_bytes,
-        )
+        return OcpRequest.trusted(OcpCmd.WR, addr, data, spec.burst_length,
+                                  spec.word_bytes)
 
     def _gap_fs(self) -> int:
         mean_fs = self.spec.gap._fs
@@ -247,6 +272,7 @@ class TrafficMaster(Module):
             while self.ctx._now_fs < start_fs:
                 yield SimTime(start_fs - self.ctx._now_fs)
         ctx = self.ctx
+        nbytes = spec.burst_length * spec.word_bytes  # of every request
         while spec.transactions is None or self._index < spec.transactions:
             gap_fs = self._pending_gap_fs
             if gap_fs is None:
@@ -261,17 +287,23 @@ class TrafficMaster(Module):
             request = self._next_request(index)
             begin_fs = ctx._now_fs
             response = yield from self.socket.transport(request)
-            elapsed_fs = ctx._now_fs - begin_fs
+            done_fs = ctx._now_fs
+            elapsed_fs = done_fs - begin_fs
             self.latency.add_fs(elapsed_fs)
             if self.latency_series is not None:
                 self.latency_series.append(elapsed_fs / FS_PER_NS)
-            if response.ok:
-                self.bytes_done += request.nbytes
+            if response.resp is OcpResp.DVA:  # response.ok
+                self.bytes_done += nbytes
             else:
                 self.errors += 1
             self.completed += 1
-            self.last_done = ctx.now
+            self._last_done_fs = done_fs
             self._index = index + 1
+
+    @property
+    def last_done(self) -> SimTime:
+        """Completion time of the latest transaction (zero before any)."""
+        return SimTime._from_fs(self._last_done_fs)
 
     # -- checkpoint/restore protocol (see repro.snapshot) --------------------
 
@@ -285,7 +317,7 @@ class TrafficMaster(Module):
             "bytes_done": self.bytes_done,
             "completed": self.completed,
             "errors": self.errors,
-            "last_done_fs": self.last_done._fs,
+            "last_done_fs": self._last_done_fs,
             "stream_offset": self._stream_offset,
             "index": self._index,
             "pending_gap_fs": self._pending_gap_fs,
@@ -308,14 +340,17 @@ class TrafficMaster(Module):
         self.bytes_done = state["bytes_done"]
         self.completed = state["completed"]
         self.errors = state["errors"]
-        self.last_done = SimTime(state["last_done_fs"])
+        self._last_done_fs = state["last_done_fs"]
         self._stream_offset = state["stream_offset"]
         self._index = state["index"]
         self._pending_gap_fs = state["pending_gap_fs"]
         if "streams" in state:
-            for name, payload in state["streams"].items():
-                getattr(self, f"_rng_{name}").setstate(
-                    _rng_from_json(payload))
+            streams = state["streams"]
+            for name in SUBSTREAMS:
+                # setstate overwrites the whole state: skip the seeding.
+                rng = random.Random.__new__(random.Random)
+                rng.setstate(_rng_from_json(streams[name]))
+                self.__dict__[f"_rng_{name}"] = rng
         elif not self.done:
             from repro.snapshot.state import SnapshotError
 

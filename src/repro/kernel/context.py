@@ -49,7 +49,7 @@ from repro.kernel.process import (
     sensitivity_events,
 )
 from repro.kernel.report import Reporter
-from repro.kernel.simtime import SimTime, ZERO_TIME
+from repro.kernel.simtime import SimTime
 
 
 # The timed-notification heap holds plain 4-lists
@@ -91,11 +91,11 @@ class SimContext:
         self.reporter = reporter if reporter is not None else Reporter()
         self.max_deltas_per_timestep = max_deltas_per_timestep
 
-        #: Canonical current time as integer femtoseconds; ``_now`` is the
-        #: equivalent SimTime, refreshed only when time advances.
+        #: Current time and the time the last process ran, as integer
+        #: femtoseconds; :attr:`now` and :attr:`last_activity_time` build
+        #: their ``SimTime`` only when read.
         self._now_fs: int = 0
-        self._now: SimTime = ZERO_TIME
-        self._last_activity: SimTime = ZERO_TIME
+        self._last_activity_fs: int = 0
         self._delta_count: int = 0
         self._deltas_this_timestep: int = 0
         self._seq = itertools.count()
@@ -136,7 +136,7 @@ class SimContext:
     @property
     def now(self) -> SimTime:
         """Current simulated time."""
-        return self._now
+        return SimTime._from_fs(self._now_fs)
 
     @property
     def delta_count(self) -> int:
@@ -150,7 +150,7 @@ class SimContext:
         Unlike :attr:`now`, this does not advance to a run's horizon on
         starvation — it is the workload's actual completion time.
         """
-        return self._last_activity
+        return SimTime._from_fs(self._last_activity_fs)
 
     # ------------------------------------------------------------------
     # object registry
@@ -457,7 +457,7 @@ class SimContext:
         elif until is not None:
             if until._fs < self._now_fs:
                 raise SimulationError(
-                    f"cannot run until {until}: already at {self._now}"
+                    f"cannot run until {until}: already at {self.now}"
                 )
             limit_fs = until._fs
 
@@ -492,8 +492,7 @@ class SimContext:
             # Starved before the limit: time still advances to the limit so
             # that consecutive run() calls compose predictably.
             self._now_fs = limit_fs
-            self._now = SimTime._from_fs(limit_fs)
-        return self._now
+        return self.now
 
     def run_all(self, max_time: Optional[SimTime] = None) -> SimTime:
         """Run until starvation (optionally bounded by ``max_time``)."""
@@ -530,7 +529,7 @@ class SimContext:
             # -- evaluation phase --------------------------------------
             ran_any = bool(runnable)
             if ran_any:
-                self._last_activity = self._now
+                self._last_activity_fs = self._now_fs
                 while runnable:
                     proc = popleft()
                     self.current_process = proc
@@ -575,7 +574,7 @@ class SimContext:
                 if self._deltas_this_timestep > max_deltas:
                     raise SimulationError(
                         f"more than {max_deltas} delta "
-                        f"cycles at time {self._now}; the model is probably "
+                        f"cycles at time {self.now}; the model is probably "
                         f"in a zero-time activity loop"
                     )
                 continue
@@ -595,12 +594,10 @@ class SimContext:
             when_fs = heap[0][0]
             if limit_fs is not None and when_fs > limit_fs:
                 self._now_fs = limit_fs
-                self._now = SimTime._from_fs(limit_fs)
                 if obs is not None:
                     on_advance(limit_fs)
                 return
             self._now_fs = when_fs
-            self._now = SimTime._from_fs(when_fs)
             self._deltas_this_timestep = 0
             if obs is not None:
                 on_advance(when_fs)
@@ -615,7 +612,8 @@ class SimContext:
                         on_event(entry[3], "timed", when_fs)
                     entry[3]._fire_scheduled("timed")
                 elif kind == KIND_RESUME:
-                    entry[3]._timeout_fired()
+                    # A live resume entry is its process's timeout.
+                    entry[3]._wake(None)
             self._delta_count += 1
             if obs is not None:
                 on_delta(self._delta_count, when_fs)
@@ -685,7 +683,7 @@ class SimContext:
         """
         blocked = self.blocked_processes()
         header = (
-            f"simulation {self.name!r} at {self._now} "
+            f"simulation {self.name!r} at {self.now} "
             f"(outcome: {self.last_run_outcome or 'not run'}): "
             f"{len(blocked)} blocked process(es)"
         )
@@ -696,6 +694,6 @@ class SimContext:
 
     def __repr__(self) -> str:
         return (
-            f"SimContext({self.name!r}, now={self._now}, "
+            f"SimContext({self.name!r}, now={self.now}, "
             f"deltas={self._delta_count}, objects={len(self.objects)})"
         )

@@ -176,10 +176,13 @@ class Event:
             waiters = self._dynamic_waiters
             self._dynamic_waiters = []
             for process in waiters:
-                process._event_triggered(self)
+                if process._pending_all:
+                    process._event_triggered(self)
+                else:
+                    process._wake(self)
         for process in self._static_waiters:
-            # Inlined Process._static_triggered: wake only the processes
-            # actually suspended on their static sensitivity list.
+            # Wake only the processes actually suspended on their static
+            # sensitivity list.
             if process._waiting_static:
                 process._wake(self)
 

@@ -94,8 +94,11 @@ class _QueuePump:
 
     __slots__ = ("queue",)
 
+    #: never waits on an and-list, so ``Event._trigger`` wakes it directly
+    _pending_all = ()
+
     def __init__(self, queue: EventQueue):
         self.queue = queue
 
-    def _event_triggered(self, event: Event) -> None:
+    def _wake(self, event: Event) -> None:
         self.queue._pump_fired()

@@ -255,20 +255,12 @@ class Process:
         self.ctx._runnable.append(self)
 
     def _event_triggered(self, event: Event) -> None:
-        """Called by an event this process dynamically waits on."""
+        """Called by an event this process waits on with an and-list
+        (``Event._trigger`` calls :meth:`_wake` directly otherwise)."""
+        self._pending_all.discard(event)
         if self._pending_all:
-            self._pending_all.discard(event)
-            if self._pending_all:
-                return  # still waiting for the rest of the and-list
+            return  # still waiting for the rest of the and-list
         self._wake(event)
-
-    def _static_triggered(self, event: Event) -> None:
-        """Called by an event on the static sensitivity list."""
-        if self._waiting_static:
-            self._wake(event)
-
-    def _timeout_fired(self) -> None:
-        self._wake(None)
 
     # -- scheduler interface -------------------------------------------------
 

@@ -58,6 +58,9 @@ class BurstSeq(enum.Enum):
     WRAP = 2   # wrapping
 
 
+_new_object = object.__new__
+
+
 @dataclass
 class OcpRequest:
     """One OCP transaction request (a full burst).
@@ -97,13 +100,31 @@ class OcpRequest:
         """Total bytes this burst moves."""
         return self.burst_length * self.word_bytes
 
+    @classmethod
+    def trusted(cls, cmd: OcpCmd, addr: int, data: List[int],
+                burst_length: int, word_bytes: int) -> "OcpRequest":
+        """An incrementing-burst request built without validation.
+
+        Equal, field for field, to ``OcpRequest(cmd, addr, data=data,
+        burst_length=burst_length, word_bytes=word_bytes)``.  The caller
+        guarantees what ``__post_init__`` would check (e.g. a traffic
+        generator whose spec was validated once).
+        """
+        request = _new_object(cls)
+        request.__dict__ = {
+            "cmd": cmd, "addr": addr, "data": data,
+            "burst_length": burst_length, "burst_seq": BurstSeq.INCR,
+            "byte_en": None, "master_id": None, "word_bytes": word_bytes,
+        }
+        return request
+
     def relocated(self, addr: int) -> "OcpRequest":
         """A copy of this request at ``addr``, not re-validated.
 
         The caller guarantees ``addr`` is valid (e.g. a bus that decoded
         the request into a region subtracts the region base).
         """
-        copy = object.__new__(type(self))
+        copy = _new_object(type(self))
         copy.__dict__.update(self.__dict__)
         copy.addr = addr
         return copy

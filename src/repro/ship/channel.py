@@ -89,15 +89,15 @@ class ShipTiming:
 
 
 class _Message:
-    __slots__ = ("kind", "data", "obj", "txn_id", "nbytes", "sent_at")
+    __slots__ = ("kind", "data", "obj", "txn_id", "nbytes", "sent_at_fs")
 
-    def __init__(self, kind, data, obj, txn_id, nbytes, sent_at):
+    def __init__(self, kind, data, obj, txn_id, nbytes, sent_at_fs):
         self.kind = kind        # "send" or "request"
         self.data = data        # framed bytes (None when zero_copy)
         self.obj = obj          # original object (zero_copy) or None
         self.txn_id = txn_id    # for requests
         self.nbytes = nbytes
-        self.sent_at = sent_at
+        self.sent_at_fs = sent_at_fs
 
 
 class _Endpoint:
@@ -252,7 +252,7 @@ class ShipChannel(SimObject):
                 kind=msg.kind,
                 initiator=self._endpoints[source].owner_name or source.value,
                 target=self._endpoints[end].owner_name or end.value,
-                begin=msg.sent_at,
+                begin=SimTime._from_fs(msg.sent_at_fs),
                 end=self.ctx.now,
                 nbytes=msg.nbytes,
             )
@@ -424,7 +424,8 @@ class ShipChannel(SimObject):
                     f"{end.value} timed out waiting for queue space"
                 )
         queue.append(
-            _Message(kind, data, payload_obj, txn_id, nbytes, self.ctx.now)
+            _Message(kind, data, payload_obj, txn_id, nbytes,
+                     self.ctx._now_fs)
         )
         ep.bytes_sent += nbytes
         ep.messages_sent += 1
@@ -461,7 +462,7 @@ class ShipChannel(SimObject):
                     "data": msg.data.hex(),
                     "txn_id": msg.txn_id,
                     "nbytes": msg.nbytes,
-                    "sent_at_fs": msg.sent_at._fs,
+                    "sent_at_fs": msg.sent_at_fs,
                 })
             queues[end.value] = records
         return {
@@ -492,7 +493,7 @@ class ShipChannel(SimObject):
                     None,
                     record["txn_id"],
                     record["nbytes"],
-                    SimTime._from_fs(record["sent_at_fs"]),
+                    record["sent_at_fs"],
                 ))
             ep = self._endpoints[end]
             payload = state["endpoints"][end.value]

@@ -68,7 +68,6 @@ from repro.kernel.process import (
     WaitCondition,
     WaitMode,
 )
-from repro.kernel.simtime import SimTime
 
 SNAPSHOT_SCHEMA = 1
 
@@ -273,7 +272,7 @@ def capture_state(
         "schema": SNAPSHOT_SCHEMA,
         "kernel": {
             "now_fs": ctx._now_fs,
-            "last_activity_fs": ctx._last_activity._fs,
+            "last_activity_fs": ctx._last_activity_fs,
             "delta_count": ctx._delta_count,
             "next_seq": peek_counter(ctx, "_seq"),
             "last_run_outcome": ctx.last_run_outcome,
@@ -341,6 +340,13 @@ def _start_generator(
     return gen, WaitCondition.normalize(first)
 
 
+def _finished_generator() -> Generator:
+    """A generator that has already run to completion."""
+    gen = (None for _ in ())
+    next(gen, None)
+    return gen
+
+
 def _restore_thread_body(
     ctx: SimContext, proc: ThreadProcess
 ) -> Callable[[], Optional[Generator]]:
@@ -400,8 +406,7 @@ def restore_state(
 
     kernel = snapshot["kernel"]
     ctx._now_fs = kernel["now_fs"]
-    ctx._now = SimTime._from_fs(kernel["now_fs"])
-    ctx._last_activity = SimTime._from_fs(kernel["last_activity_fs"])
+    ctx._last_activity_fs = kernel["last_activity_fs"]
     ctx._delta_count = kernel["delta_count"]
     ctx._deltas_this_timestep = 0
     ctx._seq = itertools.count(kernel["next_seq"])
@@ -463,6 +468,10 @@ def restore_state(
             continue
         if record["state"] == "terminated":
             proc.state = ProcessState.TERMINATED
+            if record.get("started"):
+                # Keep "started" true on the next capture, as it is for
+                # the cold run's thread, which holds its spent body.
+                proc._gen = _finished_generator()
             continue
         wait = record.get("wait")
         if wait is None:

@@ -126,11 +126,21 @@ class TimeStats(OnlineStats):
 
     def add(self, duration: SimTime) -> None:
         """Fold one duration into the statistics."""
-        OnlineStats.add(self, duration._fs / FS_PER_NS)
+        self.add_fs(duration._fs)
 
     def add_fs(self, femtoseconds: int) -> None:
         """:meth:`add` for a duration in integer femtoseconds."""
-        OnlineStats.add(self, femtoseconds / FS_PER_NS)
+        # OnlineStats.add, inline: this runs once per bus transaction.
+        value = femtoseconds / FS_PER_NS
+        self.count += 1
+        self.total += value
+        delta = value - self._mean
+        self._mean += delta / self.count
+        self._m2 += delta * (value - self._mean)
+        if self.minimum is None or value < self.minimum:
+            self.minimum = value
+        if self.maximum is None or value > self.maximum:
+            self.maximum = value
 
     @property
     def mean_ns(self) -> float:

@@ -144,7 +144,7 @@ class VcdTracer:
     def _on_change(self, signal: Signal, old, new) -> None:
         if not self._header_written:
             self._write_header()
-        now_fs = self.ctx.now.femtoseconds
+        now_fs = self.ctx._now_fs
         if now_fs != self._last_dump_fs:
             self._stream.write(f"#{now_fs // self._fs_per_tick}\n")
             self._last_dump_fs = now_fs

@@ -138,3 +138,75 @@ def test_tdma_owner_cycles_through_schedule(cycle, slot_cycles):
     arb = TdmaArbiter(schedule, slot_cycles=slot_cycles)
     owner = arb.slot_owner(cycle)
     assert owner == schedule[(cycle // slot_cycles) % 3]
+
+
+class _MinRoundRobin(RoundRobinArbiter):
+    """Round-robin that always picks with ``min``, for comparison."""
+
+    def pick(self, pending, cycle):
+        chosen = min(
+            pending, key=lambda r: (self._master_rank(r.master), r.seq)
+        )
+        self._next_index = ((self._order.index(chosen.master) + 1)
+                            % len(self._order))
+        return chosen
+
+
+class _MinTdma(TdmaArbiter):
+    """TDMA that always picks with ``min``, for comparison."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fallback = _MinRoundRobin()
+
+    def pick(self, pending, cycle):
+        owned = [r for r in pending if r.master == self.slot_owner(cycle)]
+        if owned:
+            return min(owned, key=lambda r: r.seq)
+        if self.strict:
+            return None
+        return self._fallback.pick(pending, cycle)
+
+
+class _MinStaticPriority(StaticPriorityArbiter):
+    """Static priority that always picks with ``min``, for comparison."""
+
+    def pick(self, pending, cycle):
+        return min(pending, key=lambda r: (r.priority, r.seq))
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda: (StaticPriorityArbiter(), _MinStaticPriority()),
+    lambda: (RoundRobinArbiter(), _MinRoundRobin()),
+    lambda: (TdmaArbiter(["a", "b", "c"], slot_cycles=2),
+             _MinTdma(["a", "b", "c"], slot_cycles=2)),
+    lambda: (TdmaArbiter(["a", "b", "c"], slot_cycles=2, strict=True),
+             _MinTdma(["a", "b", "c"], slot_cycles=2, strict=True)),
+], ids=["static-priority", "round-robin", "tdma", "tdma-strict"])
+@given(rounds=st.lists(
+    st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 3)),
+             min_size=1, max_size=3),
+    min_size=1, max_size=12,
+))
+def test_single_pending_pick_equals_min(make_pair, rounds):
+    """The one-request shortcut grants what ``min`` grants, and leaves
+    the arbiter in the same state (round-robin rotation included)."""
+    fast, reference = make_pair()
+    seq = 0
+    for cycle, entries in enumerate(rounds):
+        pending = []
+        for master, priority in entries:
+            pending.append(Req(master, priority, seq))
+            seq += 1
+        assert fast.pick(pending, cycle) is reference.pick(pending, cycle)
+        assert fast.snapshot_state() == reference.snapshot_state()
+
+
+def test_round_robin_single_pending_advances_rotation():
+    """A lone request still registers its master and moves the pointer."""
+    arb = RoundRobinArbiter()
+    arb.pick([Req("a", seq=0)], 0)
+    arb.pick([Req("b", seq=1)], 1)
+    assert arb.snapshot_state() == {"order": ["a", "b"], "next_index": 0}
+    # a was granted last-but-one, b last: a is preferred next
+    assert arb.pick([Req("b", seq=2), Req("a", seq=3)], 2).master == "a"

@@ -348,6 +348,22 @@ class TestStatsAndRecording:
         # overrides beat the slave's own wait states: 1+1+0+1 = 3 cycles
         assert out == [(OcpResp.DVA, "30 ns")]
 
+    def test_wait_states_follow_slave_changed_after_attach(self, ctx, top):
+        """The binding resolves the slave's getter once, at attach; the
+        getter reads the slave's wait states when each transaction
+        runs."""
+        bus = GenericBus("bus", top, clock_period=ns(10))
+        mem = MemorySlave("m", top, size=4096, read_wait=0, write_wait=0)
+        binding = bus.attach_slave(mem, 0, 4096)
+        mem.read_wait = 5
+        assert binding.wait_states(rd(0)) == 5
+        assert binding.wait_states(wr(0)) == 0
+        out = []
+        drive(ctx, bus.master_socket("m0"), [rd(0, 1)], out)
+        ctx.run()
+        # 1 arb + 1 addr + 5 wait + 1 beat = 8 cycles
+        assert out == [(OcpResp.DVA, "80 ns")]
+
     def test_utilization_window(self, ctx, top):
         bus = GenericBus("bus", top, clock_period=ns(10))
         mem = MemorySlave("m", top, size=4096, read_wait=0, write_wait=0)

@@ -87,6 +87,20 @@ class TestOcpTypes:
         req = OcpRequest(OcpCmd.RD, 0, burst_length=4)
         assert req.nbytes == 16
 
+    @pytest.mark.parametrize("cmd,data", [
+        (OcpCmd.RD, []), (OcpCmd.WR, [1, 2, 3, 4]),
+    ])
+    def test_trusted_equals_validated(self, cmd, data):
+        """The unvalidated constructor builds the same request, field
+        for field and in field order."""
+        trusted = OcpRequest.trusted(cmd, 0x40, data, 4, 4)
+        checked = OcpRequest(cmd, 0x40, data=data, burst_length=4,
+                             word_bytes=4)
+        assert trusted == checked
+        assert trusted.__dict__ == checked.__dict__
+        assert list(trusted.__dict__) == list(checked.__dict__)
+        assert type(trusted) is OcpRequest
+
     def test_cmd_predicates(self):
         assert OcpCmd.RD.is_read and not OcpCmd.RD.is_write
         assert OcpCmd.WR.is_write and not OcpCmd.WR.is_read

@@ -70,6 +70,42 @@ class TestRunControl:
         assert end == ns(7)
         assert not ctx.pending_activity
 
+    def test_now_and_last_activity_after_starved_run_until(self, ctx):
+        """``run(until=)`` that starves still advances :attr:`now` to
+        the horizon; :attr:`last_activity_time` stays at the last
+        process run."""
+        def body():
+            yield ns(7)
+
+        ctx.register_thread(body, "t")
+        assert ctx.run(until=ns(50)) == ns(50)
+        assert ctx.last_run_outcome == "starved"
+        assert ctx.now == ns(50)
+        assert ctx.last_activity_time == ns(7)
+        ctx.run(ns(5))
+        assert ctx.now == ns(55)
+        assert ctx.last_activity_time == ns(7)
+
+    def test_now_and_last_activity_after_restore(self):
+        """A restored context reports the captured times."""
+        def build():
+            ctx = SimContext()
+            top = Module("top", ctx=ctx)
+
+            def body():
+                yield ns(7)
+
+            top.add_thread(body, "t")
+            return ctx
+
+        ctx = build()
+        ctx.run(until=ns(30))
+        snapshot = ctx.checkpoint()
+        restored = build()
+        restored.resume(snapshot)
+        assert restored.now == ns(30)
+        assert restored.last_activity_time == ns(7)
+
     def test_time_of_next_activity(self, ctx):
         ev = Event(ctx, "ev")
         ev.notify_after(ns(25))

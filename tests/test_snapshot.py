@@ -16,7 +16,11 @@ import random
 import pytest
 
 from repro.cam import BusTiming, GenericBus, MemorySlave
-from repro.explore.workload import MasterTrafficSpec, TrafficMaster
+from repro.explore.workload import (
+    MasterTrafficSpec,
+    TrafficMaster,
+    substream_seed,
+)
 from repro.faults import FaultPlan, FaultRule, MemoryFaultInjector
 from repro.kernel import Clock, Module, SimContext, ns, us
 from repro.kernel.simtime import SimTime
@@ -258,6 +262,31 @@ class TestTrafficMasterState:
         c2, t2, m2 = build_cam()
         c2.resume(snap)
         assert c2.checkpoint()["objects"] == snap["objects"]
+        # nor does a restored finished master ever seed a substream
+        c2.run(us(1000))
+        assert not [name for name in vars(t2) if name.startswith("_rng_")]
+
+    def test_substream_seeded_on_first_draw(self):
+        """A stream's generator appears on first use, seeded exactly as
+        ``substream_seed`` says."""
+        ctx, tm, mem = build_cam()
+        assert "_rng_addr" not in vars(tm)
+        expected = random.Random(substream_seed(7, "m", "addr")).random()
+        assert tm._rng_addr.random() == expected
+        assert "_rng_addr" in vars(tm)
+
+    def test_finished_thread_round_trips_byte_identical(self):
+        """capture -> restore -> capture keeps a finished thread's
+        ``started`` flag, so the whole snapshot re-encodes unchanged."""
+        ctx, tm, mem = build_cam()
+        ctx.run(us(1000))
+        snap = ctx.checkpoint()
+        assert snap["processes"]["top.tm.drive"] == {
+            "kind": "thread", "state": "terminated", "started": True}
+        c2, t2, m2 = build_cam()
+        c2.resume(snap)
+        assert json.dumps(c2.checkpoint(), sort_keys=True) == json.dumps(
+            snap, sort_keys=True)
 
     def test_unfinished_master_without_streams_refused(self):
         """Restoring an unfinished master needs its RNG streams."""
